@@ -1,0 +1,280 @@
+// Golden digests: seeded end-to-end runs pinned to committed 64-bit hashes.
+//
+// Each entry hashes (FNV-1a, 64 bit) a run's whole `wgtt.metrics.v1`
+// snapshot plus its per-client goodput and switch-accuracy fractions, so
+// any change to an event, an RNG draw, a counter or the accuracy probe's
+// ground truth shows up as a changed digest. A change that claims to be
+// exact (a speed-up, a refactor, a deleted oracle) must leave
+// golden_digests.txt byte-identical.
+//
+// The matrix is smoke-sized: three seeds over the 25 mph UDP and TCP
+// drives, the Figure 17 three-client drive, a short 8-client x 32-AP drive,
+// the baseline system, an AP-crash drive with liveness, a two-domain drive,
+// and the parallel city at one and two workers.
+//
+// Regenerate (only for a deliberate behaviour change, in its own commit):
+//   build/tests/golden_digest_test --regenerate
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "bench/harness.h"
+#include "scenario/parallel_city.h"
+
+#ifndef WGTT_GOLDEN_DIGESTS
+#error "WGTT_GOLDEN_DIGESTS must name the committed digest file"
+#endif
+
+namespace wgtt {
+namespace {
+
+using benchx::DriveConfig;
+using benchx::DriveResult;
+using benchx::System;
+using benchx::Workload;
+
+constexpr std::uint64_t kSeeds[] = {1, 2, 3};
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Exact text of a double (hex float): equal text iff equal bits.
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// The hashed text of one drive: the metrics snapshot (WGTT only; the
+/// baseline predates the metrics layer) plus per-client goodput, bytes and
+/// accuracy, and the result's switch and MAC counters.
+std::string drive_text(const DriveResult& r) {
+  std::ostringstream os;
+  if (r.metrics) os << r.metrics->to_json() << '\n';
+  for (const auto& c : r.clients) {
+    os << "client mbps=" << hex(c.mbps) << " bytes=" << c.bytes
+       << " accuracy=" << hex(c.accuracy) << '\n';
+  }
+  os << "switches=" << r.switches << " retx=" << r.retransmissions
+     << " delivered=" << r.mpdus_delivered << " ba_heard=" << r.ba_heard
+     << " ba_collided=" << r.ba_collided
+     << " violations=" << r.invariant_violations << '\n';
+  return os.str();
+}
+
+DriveConfig drive(std::uint64_t seed) {
+  DriveConfig cfg;
+  cfg.seed = seed;
+  cfg.collect_metrics = true;
+  return cfg;
+}
+
+std::string udp25(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.mph = 25.0;
+  cfg.udp_rate_mbps = 30.0;
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string tcp25(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.mph = 25.0;
+  cfg.workload = Workload::kTcpDown;
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string fig17_3client(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.mph = 15.0;
+  cfg.num_clients = 3;
+  cfg.udp_rate_mbps = 20.0;
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string drive_8x32(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.mph = 15.0;
+  cfg.num_clients = 8;
+  cfg.udp_rate_mbps = 20.0;
+  cfg.pattern = benchx::Pattern::kDistributed;
+  cfg.drive_span_m = 12.0;
+  scenario::GeometryConfig geo;
+  geo.num_aps = 32;
+  cfg.geometry = geo;
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string baseline25(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.system = System::kBaseline;
+  cfg.mph = 25.0;
+  cfg.udp_rate_mbps = 30.0;
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string ap_crash(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.mph = 15.0;
+  cfg.udp_rate_mbps = 20.0;
+  scenario::ApFaultScript fs;
+  fs.ap = 3;
+  fs.crash_at = Time::sec(5);
+  fs.restart_at = Time::sec(8);
+  cfg.ap_faults.push_back(fs);  // auto-enables liveness
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string domains2(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.mph = 15.0;
+  cfg.udp_rate_mbps = 20.0;
+  cfg.num_domains = 2;
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string parallel_city(std::uint64_t seed, int workers) {
+  scenario::ParallelCityConfig cfg;
+  cfg.corridors = 2;
+  cfg.aps_per_corridor = 8;
+  cfg.clients_per_corridor = 2;
+  cfg.drive_span_m = 20.0;
+  cfg.seed = seed;
+  cfg.workers = workers;
+  cfg.collect_metrics = true;
+  const scenario::ParallelCityResult r = scenario::run_parallel_city(cfg);
+  std::ostringstream os;
+  if (r.metrics) os << r.metrics->to_json() << '\n';
+  for (const double mbps : r.client_mbps) os << "client mbps=" << hex(mbps) << '\n';
+  os << "switches=" << r.switches << " events=" << r.events_executed
+     << " messages=" << r.messages << " rounds=" << r.rounds
+     << " violations=" << r.invariant_violations << '\n';
+  return os.str();
+}
+
+struct Scenario {
+  const char* name;
+  std::function<std::string(std::uint64_t seed)> run;
+};
+
+const std::vector<Scenario>& scenarios() {
+  static const std::vector<Scenario> all = {
+      {"udp25", udp25},
+      {"tcp25", tcp25},
+      {"fig17_3client", fig17_3client},
+      {"drive_8x32", drive_8x32},
+      {"baseline25", baseline25},
+      {"ap_crash", ap_crash},
+      {"domains2", domains2},
+      {"parallel_city_1w", [](std::uint64_t s) { return parallel_city(s, 1); }},
+      {"parallel_city_2w", [](std::uint64_t s) { return parallel_city(s, 2); }},
+  };
+  return all;
+}
+
+std::string entry_key(const Scenario& s, std::uint64_t seed) {
+  return std::string(s.name) + "/seed" + std::to_string(seed);
+}
+
+std::string digest_hex(std::uint64_t d) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, d);
+  return buf;
+}
+
+/// key -> digest, from the committed file ('#' lines are comments).
+std::map<std::string, std::string> load_digests() {
+  std::map<std::string, std::string> out;
+  std::ifstream in(WGTT_GOLDEN_DIGESTS);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    std::string key;
+    std::string digest;
+    if (ls >> key >> digest) out[key] = digest;
+  }
+  return out;
+}
+
+int regenerate() {
+  std::ofstream out(WGTT_GOLDEN_DIGESTS, std::ios::trunc);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", WGTT_GOLDEN_DIGESTS);
+    return 1;
+  }
+  out << "# Golden digests: FNV-1a 64 of each run's wgtt.metrics.v1 snapshot\n"
+         "# plus per-client goodput and switch-accuracy fractions\n"
+         "# (tests/golden_digest_test.cc). The simulation's floating point goes\n"
+         "# through libm (exp, log10, erfc, sin, cos), so the digests hold for\n"
+         "# one toolchain and libm; a different libm may change them without\n"
+         "# any behaviour change in the code.\n"
+         "# Regenerate only for a deliberate behaviour change:\n"
+         "#   build/tests/golden_digest_test --regenerate\n";
+  for (const Scenario& s : scenarios()) {
+    for (const std::uint64_t seed : kSeeds) {
+      out << entry_key(s, seed) << ' ' << digest_hex(fnv1a64(s.run(seed)))
+          << '\n';
+    }
+  }
+  return out ? 0 : 1;
+}
+
+class GoldenDigest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenDigest, MatchesCommittedFile) {
+  const Scenario& s = scenarios()[GetParam()];
+  const std::map<std::string, std::string> golden = load_digests();
+  for (const std::uint64_t seed : kSeeds) {
+    const std::string key = entry_key(s, seed);
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end()) << key << " missing from " << WGTT_GOLDEN_DIGESTS;
+    EXPECT_EQ(digest_hex(fnv1a64(s.run(seed))), it->second)
+        << key << ": the run's output changed";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, GoldenDigest, ::testing::Range<std::size_t>(0, scenarios().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& param) {
+      return std::string(scenarios()[param.param].name);
+    });
+
+TEST(GoldenDigestFile, HasExactlyTheMatrix) {
+  const std::map<std::string, std::string> golden = load_digests();
+  EXPECT_EQ(golden.size(), scenarios().size() * std::size(kSeeds));
+}
+
+TEST(GoldenDigestFile, ParallelCityDigestIndependentOfWorkers) {
+  const std::map<std::string, std::string> golden = load_digests();
+  for (const std::uint64_t seed : kSeeds) {
+    const std::string tail = "/seed" + std::to_string(seed);
+    EXPECT_EQ(golden.at("parallel_city_1w" + tail),
+              golden.at("parallel_city_2w" + tail));
+  }
+}
+
+}  // namespace
+}  // namespace wgtt
+
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--regenerate") == 0) return wgtt::regenerate();
+  }
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}
