@@ -261,7 +261,7 @@ class TrialPool {
     /// Replaces per-trial DriveConfig::metrics_path, which would have each
     /// trial overwrite the previous trial's file (submit() redirects it —
     /// see there).
-    std::string metrics_path;
+    std::string metrics_path{};
     /// Record the pool's wall-clock `harness.trials_per_sec` gauge in the
     /// merged registry. Off by default for the same reason as
     /// DriveConfig::record_perf: wall-clock values differ run to run.

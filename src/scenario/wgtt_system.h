@@ -90,8 +90,8 @@ struct ApFaultScript {
 /// gossip. Only meaningful with num_domains > 1.
 struct ControllerFaultScript {
   int domain = 0;
-  std::optional<Time> crash_at;
-  std::optional<Time> restart_at;
+  std::optional<Time> crash_at{};
+  std::optional<Time> restart_at{};
 };
 
 /// Spatial interest management (DESIGN.md §9): a road-segment index over

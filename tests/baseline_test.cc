@@ -142,7 +142,7 @@ TEST(RouterTest, DropsDownlinkForUnassociatedClient) {
 TEST(RouterTest, AssociationMoveNotifiesOldAp) {
   scenario::BaselineSystem sys(test_config(10));
   mobility::LineDrive drive(0.0, 0.0, mph_to_mps(25.0));
-  const int c = sys.add_client(&drive);
+  sys.add_client(&drive);
   sys.start();
   sys.run_until(Time::sec(4));
   // The client has moved down the road and re-associated at least once; the

@@ -179,7 +179,7 @@ TEST(FlightRecorderTest, DropOldestStress) {
     ++visited;
   });
   EXPECT_EQ(visited, kCapacity);
-  EXPECT_THROW(fr.at(kCapacity), std::out_of_range);
+  EXPECT_THROW((void)fr.at(kCapacity), std::out_of_range);
   fr.clear();
   EXPECT_TRUE(fr.empty());
   EXPECT_EQ(fr.dropped(), 0u);

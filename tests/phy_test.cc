@@ -81,7 +81,7 @@ TEST(SnrForBerTest, InverseOfBer) {
       EXPECT_NEAR(bit_error_rate(m, snr), target, target * 0.05);
     }
   }
-  EXPECT_THROW(snr_for_ber(Modulation::kBpsk, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)snr_for_ber(Modulation::kBpsk, 0.0), std::invalid_argument);
 }
 
 TEST(EsnrTest, FlatChannelEsnrEqualsSnr) {
@@ -112,7 +112,7 @@ TEST(EsnrTest, FadedSubcarriersDragEsnrBelowMeanSnr) {
 }
 
 TEST(EsnrTest, EmptyCsisThrow) {
-  EXPECT_THROW(effective_snr_db({}, Modulation::kBpsk), std::invalid_argument);
+  EXPECT_THROW((void)effective_snr_db({}, Modulation::kBpsk), std::invalid_argument);
 }
 
 TEST(EsnrTest, MetricIsMonotoneInUniformSnr) {

@@ -182,7 +182,7 @@ TEST(StatsTest, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median(odd), 2.0);
   std::vector<double> even{4.0, 1.0, 3.0, 2.0};
   EXPECT_DOUBLE_EQ(median(even), 2.5);
-  EXPECT_THROW(median({}), std::invalid_argument);
+  EXPECT_THROW((void)median({}), std::invalid_argument);
 }
 
 TEST(StatsTest, LowerMedianMatchesPaperFormula) {
@@ -203,7 +203,7 @@ TEST(StatsTest, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 5.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 3.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 0.25), 2.0);
-  EXPECT_THROW(percentile(xs, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)percentile(xs, 1.5), std::invalid_argument);
 }
 
 TEST(StatsTest, EmpiricalCdf) {
@@ -245,7 +245,7 @@ TEST(RingBufferTest, WrapsManyTimes) {
 TEST(RingBufferTest, Errors) {
   RingBuffer<int> rb(2);
   EXPECT_THROW(rb.pop_front(), std::logic_error);
-  EXPECT_THROW(rb.front(), std::logic_error);
+  EXPECT_THROW((void)rb.front(), std::logic_error);
   EXPECT_THROW((void)rb.at(0), std::out_of_range);
   EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
 }

@@ -185,12 +185,12 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--require-spans") {
       require_spans = true;
-    } else if (auto v = value("--csv")) {
-      csv_path = *v;
-    } else if (auto v = value("--timeline")) {
-      timeline_path = *v;
-    } else if (auto v = value("--out")) {
-      out_path = *v;
+    } else if (auto csv = value("--csv")) {
+      csv_path = *csv;
+    } else if (auto timeline = value("--timeline")) {
+      timeline_path = *timeline;
+    } else if (auto out = value("--out")) {
+      out_path = *out;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return usage(argv[0]);
