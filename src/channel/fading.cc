@@ -105,6 +105,11 @@ TappedDelayChannel::TappedDelayChannel(const Config& config, Rng& rng) {
     }
     taps_.push_back(std::move(tap));
   }
+  double peak_magnitude = los_amplitude_;
+  for (const Tap& tap : taps_) {
+    peak_magnitude += tap.amplitude * tap.field.peak_magnitude();
+  }
+  peak_power_ = peak_magnitude * peak_magnitude;
 }
 
 // Hot path: every restructuring here (precomputed sqrt amplitudes, the SoA

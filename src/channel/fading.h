@@ -59,6 +59,12 @@ class SpatialTap {
 
   [[nodiscard]] int num_sinusoids() const { return static_cast<int>(kx_.size()); }
 
+  /// Upper bound on |gain()| anywhere, any time: the sum of the component
+  /// amplitudes (triangle inequality).
+  [[nodiscard]] double peak_magnitude() const {
+    return static_cast<double>(kx_.size()) * amplitude_;
+  }
+
  private:
   std::vector<double> kx_, ky_;  // spatial wavevector (rad/m)
   std::vector<double> omega_;    // temporal angular rate (rad/s)
@@ -107,6 +113,12 @@ class TappedDelayChannel {
 
   [[nodiscard]] int num_taps() const { return static_cast<int>(taps_.size()); }
 
+  /// Upper bound on any subcarrier's |H|^2 at any position and time:
+  /// (los_amplitude + sum over taps of amplitude * SpatialTap peak)^2, since
+  /// every rotation factor has unit modulus. Exact arithmetic; callers that
+  /// compare it against a rounded |H|^2 leave a relative slack.
+  [[nodiscard]] double peak_power() const { return peak_power_; }
+
  private:
   struct Tap {
     double power;      // linear, sums to (1 - los_power) over taps
@@ -118,6 +130,7 @@ class TappedDelayChannel {
   double los_power_ = 0.0;         // Rician line-of-sight on the first delay
   double los_amplitude_ = 0.0;     // sqrt(los_power_), precomputed
   double los_phase_rate_ = 0.0;    // rad per metre of client motion (x axis)
+  double peak_power_ = 0.0;        // see peak_power()
   // Precomputed subcarrier phase factors exp(-j 2 pi f_k tau_l), flattened
   // to structure-of-arrays blocks: tap l's rotations occupy
   // [l * kNumSubcarriers, (l+1) * kNumSubcarriers) of each table. Separate

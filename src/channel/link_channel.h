@@ -72,6 +72,14 @@ class LinkChannel {
   /// Mean SNR over fading, dB (large-scale only).
   [[nodiscard]] double large_scale_snr_db(Vec2 client_pos) const;
 
+  /// An upper bound on phy::esnr_metric_db(measure(client_pos, t)
+  /// .subcarrier_snr_db) for every t, at the cost of one large-scale
+  /// evaluation: no fading sum, no BER inversion. +infinity where the
+  /// bound cannot be trusted (the ESNR's 45 dB clamp is reachable). The
+  /// accuracy probe prunes its exact argmax with it (DESIGN.md §8, "Exact
+  /// work skipping").
+  [[nodiscard]] double esnr_upper_bound_db(Vec2 client_pos) const;
+
   [[nodiscard]] Vec2 ap_position() const { return ap_position_; }
   [[nodiscard]] const LinkBudget& budget() const { return config_.budget; }
 

@@ -420,7 +420,6 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
     if (!on_heard) return;
     if (interest_ && !interest_(frame.from)) return;
   }
-  const channel::CsiMeasurement csi = sampler_(frame.from);
 
   if (addressed && std::holds_alternative<BlockAckFrame>(frame.body)) {
     ++ba_heard_;
@@ -431,10 +430,11 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
     }
   }
 
-  if (ctx.collided) {
-    if (on_heard) on_heard(frame, false, csi);
-    return;
-  }
+  // A collided frame never reaches a decode draw, so nothing reads its CSI:
+  // no channel sample and no on_heard call. The sampler is pure, so
+  // skipping it draws no RNG and moves no event.
+  if (ctx.collided) return;
+  const channel::CsiMeasurement csi = sampler_(frame.from);
 
   if (const auto* df = std::get_if<DataFrame>(&frame.body)) {
     // Per-MPDU decode draws from this receiver's own channel realization.

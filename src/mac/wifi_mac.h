@@ -76,7 +76,8 @@ class WifiMac {
 
   /// Sampler for the channel between this radio and `peer`, at now. Wired
   /// by the owner, which knows the geometry. Used both for decode draws on
-  /// reception and (transmit side) for ESNR-driven rate control.
+  /// reception and (transmit side) for ESNR-driven rate control. Must be
+  /// pure: the MAC calls it only for receptions that reach a decode draw.
   using SampleFn = std::function<channel::CsiMeasurement(RadioId peer)>;
 
   WifiMac(sim::Scheduler& sched, Medium& medium, Rng rng, Config config);
@@ -91,6 +92,7 @@ class WifiMac {
   /// Optional receive filter: frames from radios for which this returns
   /// false and that are not addressed to us are discarded before the
   /// (expensive) channel sampling — e.g. an AP ignores other APs' downlink.
+  /// Collided frames are never sampled, whatever the filter says.
   void set_interest_filter(std::function<bool(RadioId from)> f) {
     interest_ = std::move(f);
   }
@@ -147,9 +149,11 @@ class WifiMac {
   /// A decoded, non-duplicate data MPDU addressed to this radio (or its
   /// BSSID).
   std::function<void(RadioId from, const net::Packet&)> on_deliver;
-  /// Every audible frame, addressed or not, after the decode draw; `csi` is
-  /// the measurement used (valid only during the call). Monitor-mode hook:
-  /// CSI extraction and BA overhearing plug in here.
+  /// Every frame that reaches the decode draw, addressed or not, after the
+  /// draw; `csi` is the measurement used (valid only during the call). A
+  /// collided frame has no decode draw, so it is not sampled and not
+  /// reported here. Monitor-mode hook: CSI extraction and BA overhearing
+  /// plug in here.
   std::function<void(const Frame&, bool decoded,
                      const channel::CsiMeasurement& csi)>
       on_heard;

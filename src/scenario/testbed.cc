@@ -1,5 +1,8 @@
 #include "scenario/testbed.h"
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "phy/esnr.h"
@@ -16,6 +19,8 @@ TestbedGeometry::TestbedGeometry(const GeometryConfig& config)
     inst.gain_delta_db = rng_.normal(0.0, config.gain_jitter_db);
     installs_.push_back(inst);
   }
+  all_aps_.resize(static_cast<std::size_t>(config.num_aps));
+  std::iota(all_aps_.begin(), all_aps_.end(), 0);
 }
 
 channel::Vec2 TestbedGeometry::ap_position(int ap) const {
@@ -87,16 +92,36 @@ double TestbedGeometry::esnr_db(int ap, int client, Time now) const {
 }
 
 int TestbedGeometry::optimal_ap(int client, Time now) const {
-  int best = 0;
-  double best_esnr = -1e9;
-  for (int ap = 0; ap < config_.num_aps; ++ap) {
-    const double e = esnr_db(ap, client, now);
-    if (e > best_esnr) {
+  return argmax_esnr(client, now, all_aps_);
+}
+
+int TestbedGeometry::argmax_esnr(int client, Time now,
+                                 std::span<const int> candidates) const {
+  const channel::Vec2 pos = client_position(client, now);
+  bound_order_.clear();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    bound_order_.emplace_back(
+        link(candidates[i], client).esnr_upper_bound_db(pos), i);
+  }
+  // Highest bound first, candidate order among equal bounds (a stable
+  // sort without stable_sort's temporary buffer).
+  std::sort(bound_order_.begin(), bound_order_.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first : a.second < b.second;
+            });
+  double best_esnr = -std::numeric_limits<double>::infinity();
+  std::size_t best = 0;
+  for (const auto& [bound, i] : bound_order_) {
+    // Every candidate left has ESNR <= bound < best_esnr: it can neither
+    // win nor tie.
+    if (bound < best_esnr) break;
+    const double e = esnr_db(candidates[i], client, now);
+    if (e > best_esnr || (e == best_esnr && i < best)) {
       best_esnr = e;
-      best = ap;
+      best = i;
     }
   }
-  return best;
+  return candidates[best];
 }
 
 double TestbedGeometry::large_scale_snr_db(int ap, channel::Vec2 at) const {

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "channel/link_channel.h"
@@ -68,7 +70,18 @@ class TestbedGeometry {
 
   /// Ground truth: the AP with maximal instantaneous ESNR to the client
   /// (the "optimal AP" of the paper's switching-accuracy metric, Table 2).
+  /// argmax_esnr over every AP.
   [[nodiscard]] int optimal_ap(int client, Time now) const;
+
+  /// The candidate AP with maximal instantaneous ESNR to the client; on
+  /// ties, the one earliest in `candidates` (non-empty). Exact: the answer
+  /// of a full scan. Candidates are visited in descending order of
+  /// LinkChannel::esnr_upper_bound_db, and the scan stops at the first
+  /// bound below the best ESNR found, so most candidates cost one
+  /// large-scale evaluation instead of a full CSI measurement and BER
+  /// inversion (DESIGN.md §8, "Exact work skipping").
+  [[nodiscard]] int argmax_esnr(int client, Time now,
+                                std::span<const int> candidates) const;
 
   /// Instantaneous ESNR of one link (pure; does not disturb anything).
   [[nodiscard]] double esnr_db(int ap, int client, Time now) const;
@@ -100,6 +113,9 @@ class TestbedGeometry {
   // an observable mutation.
   mutable std::vector<std::vector<std::unique_ptr<channel::LinkChannel>>>
       channels_;
+  std::vector<int> all_aps_;  // 0 .. num_aps-1: optimal_ap's candidates
+  // argmax_esnr's (bound, candidate position) scratch, reused across calls.
+  mutable std::vector<std::pair<double, std::size_t>> bound_order_;
 };
 
 }  // namespace wgtt::scenario

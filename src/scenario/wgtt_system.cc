@@ -692,16 +692,7 @@ int WgttSystem::optimal_ap(int client, Time now) const {
   // the accuracy metric's ground-truth choice; when the whole array is out
   // of range the nearest AP is the degenerate answer.
   if (spatial_scratch_.empty()) return spatial_index_.nearest(pos.x);
-  int best = spatial_scratch_.front();
-  double best_esnr = -std::numeric_limits<double>::infinity();
-  for (const int ap : spatial_scratch_) {
-    const double e = geometry_.esnr_db(ap, client, now);
-    if (e > best_esnr) {
-      best_esnr = e;
-      best = ap;
-    }
-  }
-  return best;
+  return geometry_.argmax_esnr(client, now, spatial_scratch_);
 }
 
 channel::CsiMeasurement WgttSystem::sample_for_ap(int ap, mac::RadioId peer) {

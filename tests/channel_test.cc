@@ -12,6 +12,7 @@
 #include "channel/geometry.h"
 #include "channel/link_channel.h"
 #include "channel/pathloss.h"
+#include "phy/esnr.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -161,7 +162,9 @@ TEST(SubcarrierTest, ToneMapExhaustive) {
     EXPECT_NE(tone, 0.0) << "index " << i;  // DC is skipped
     EXPECT_GE(tone, -28.0);
     EXPECT_LE(tone, 28.0);
-    if (i > 0) EXPECT_LT(subcarrier_offset_hz(i - 1), f) << "index " << i;
+    if (i > 0) {
+      EXPECT_LT(subcarrier_offset_hz(i - 1), f) << "index " << i;
+    }
     EXPECT_DOUBLE_EQ(subcarrier_offset_hz(kNumSubcarriers - 1 - i), -f)
         << "index " << i;
   }
@@ -473,6 +476,76 @@ TEST(LinkChannelTest, MeasureBitIdenticalToSeedFormula) {
     ASSERT_EQ(m.rssi_dbm, ref_rssi) << "sample " << s;
     ASSERT_EQ(m.mean_snr_db, ref_mean_snr) << "sample " << s;
   }
+}
+
+TEST(TappedDelayTest, PeakPowerBoundsEverySubcarrier) {
+  TappedDelayChannel::Config cfg;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const TappedDelayChannel ch(cfg, rng);
+    Rng draw(seed + 500);
+    for (int s = 0; s < 200; ++s) {
+      const Vec2 pos{draw.uniform(-100.0, 100.0), draw.uniform(-5.0, 5.0)};
+      const CsiSnapshot snap = ch.csi(pos, Time::millis(draw.uniform(0.0, 1e4)));
+      for (const auto& g : snap.gains) {
+        ASSERT_LE(std::norm(g), ch.peak_power()) << "seed " << seed;
+      }
+    }
+  }
+  // The bound is tight: one tap of one sinusoid with no LoS has |H|^2 equal
+  // to it everywhere, up to rounding.
+  cfg.num_taps = 1;
+  cfg.sinusoids_per_tap = 1;
+  cfg.rician_k_db = -300.0;
+  Rng rng(7);
+  const TappedDelayChannel single(cfg, rng);
+  for (int s = 0; s < 50; ++s) {
+    const CsiSnapshot snap = single.csi({s * 0.37, 0.0}, Time::ms(s));
+    for (const auto& g : snap.gains) {
+      ASSERT_NEAR(std::norm(g), single.peak_power(), 1e-12);
+    }
+  }
+}
+
+TEST(LinkChannelTest, EsnrUpperBoundHoldsEverywhere) {
+  // The accuracy probe prunes with this bound, so it must hold at every
+  // position and time, in all three regimes: far links whose ESNR sits on
+  // the -30 dB inversion floor, ordinary links, and links close enough for
+  // the 45 dB clamp, where the bound must give up (+infinity).
+  LinkChannel::Config cfg;
+  int floor_hits = 0;
+  int clamp_hits = 0;
+  int finite_bounds = 0;
+  int infinite_bounds = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const Vec2 ap{0.0, seed % 2 == 0 ? 15.0 : 3.0};
+    const LinkChannel link(ap, {0.0, 0.0}, cfg, rng);
+    Rng draw(seed + 1000);
+    for (int s = 0; s < 150; ++s) {
+      // A third each: under the AP, along the road, far beyond sense range.
+      const double reach = s % 3 == 0 ? 10.0 : (s % 3 == 1 ? 150.0 : 8000.0);
+      const Vec2 pos{draw.uniform(-reach, reach), draw.uniform(-3.0, 3.0)};
+      const Time t = Time::millis(draw.uniform(0.0, 1e4));
+      const double esnr =
+          phy::esnr_metric_db(link.measure(pos, t).subcarrier_snr_db);
+      const double bound = link.esnr_upper_bound_db(pos);
+      ASSERT_LE(esnr, bound) << "seed " << seed << " x " << pos.x;
+      ASSERT_GE(bound, -30.0);
+      if (esnr <= -30.0 + 1e-9) ++floor_hits;
+      if (esnr == 45.0) ++clamp_hits;
+      if (std::isinf(bound)) {
+        ++infinite_bounds;
+      } else {
+        ASSERT_LT(bound, 29.0);
+        ++finite_bounds;
+      }
+    }
+  }
+  EXPECT_GT(floor_hits, 0);
+  EXPECT_GT(clamp_hits, 0);
+  EXPECT_GT(finite_bounds, 0);
+  EXPECT_GT(infinite_bounds, 0);
 }
 
 TEST(LinkChannelTest, SnrFallsWithDistanceAlongRoad) {

@@ -245,6 +245,46 @@ TEST_F(WifiMacTest, BeaconsBroadcastPeriodically) {
   EXPECT_EQ(beacons_heard, so_far);
 }
 
+TEST_F(WifiMacTest, CollidedReceptionIsNeitherSampledNorReported) {
+  // Two hidden terminals (out of each other's sense range, both audible at
+  // the MAC) send it a block ACK at the same time, so both arrive collided.
+  // A collided frame has no decode draw: no channel sample, no on_heard —
+  // but the Table 3 BA accounting still counts it.
+  WifiMac& rx = make_mac({100, 0});
+  int samples = 0;
+  int heard = 0;
+  rx.set_channel_sampler([&](RadioId) {
+    ++samples;
+    return flat_csi(40.0, sched_.now());
+  });
+  rx.on_heard = [&](const Frame&, bool, const channel::CsiMeasurement&) { ++heard; };
+  const auto ignore = [](const Frame&, const Medium::RxContext&) {};
+  const RadioId a = medium_.add_radio([] { return channel::Vec2{0, 0}; }, ignore);
+  const RadioId b = medium_.add_radio([] { return channel::Vec2{200, 0}; }, ignore);
+  const auto ba_to_rx = [&](RadioId from) {
+    Frame f;
+    f.from = from;
+    f.to = rx.radio();
+    f.body = BlockAckFrame{};
+    return f;
+  };
+  medium_.transmit(a, ba_to_rx(a), Time::us(40));
+  medium_.transmit(b, ba_to_rx(b), Time::us(40));
+  sched_.run_until(Time::ms(1));
+  EXPECT_EQ(rx.ba_frames_heard(), 2u);
+  EXPECT_EQ(rx.ba_frames_collided(), 2u);
+  EXPECT_EQ(samples, 0);
+  EXPECT_EQ(heard, 0);
+
+  // The same BA alone reaches the decode draw: one sample, one report.
+  medium_.transmit(a, ba_to_rx(a), Time::us(40));
+  sched_.run_until(Time::ms(2));
+  EXPECT_EQ(rx.ba_frames_heard(), 3u);
+  EXPECT_EQ(rx.ba_frames_collided(), 2u);
+  EXPECT_EQ(samples, 1);
+  EXPECT_EQ(heard, 1);
+}
+
 TEST_F(WifiMacTest, MgmtFrameDelivery) {
   WifiMac& client = make_mac({0, 0});
   WifiMac& ap = make_mac({5, 0});

@@ -1,6 +1,9 @@
 // Tests for the testbed geometry and the fully wired WGTT system.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "mobility/trajectory.h"
 #include "scenario/testbed.h"
 #include "scenario/wgtt_system.h"
@@ -102,8 +105,56 @@ TEST(GeometryTest, GroundTruthQueriesArePure) {
   mobility::StaticPosition pos({10.0, 0.0});
   geo.add_client(&pos);
   const double before = geo.esnr_db(2, 0, Time::ms(5));
-  for (int i = 0; i < 100; ++i) geo.optimal_ap(0, Time::ms(i));
+  for (int i = 0; i < 100; ++i) (void)geo.optimal_ap(0, Time::ms(i));
   EXPECT_DOUBLE_EQ(geo.esnr_db(2, 0, Time::ms(5)), before);
+}
+
+/// The reference ground truth: a full ESNR scan over `candidates`, the
+/// first maximum in candidate order.
+int brute_argmax(const TestbedGeometry& geo, int client, Time now,
+                 const std::vector<int>& candidates) {
+  int best = candidates.front();
+  double best_esnr = -std::numeric_limits<double>::infinity();
+  for (const int ap : candidates) {
+    const double e = geo.esnr_db(ap, client, now);
+    if (e > best_esnr) {
+      best_esnr = e;
+      best = ap;
+    }
+  }
+  return best;
+}
+
+TEST(GeometryTest, ArgmaxEsnrMatchesBruteScanIncludingExactTies) {
+  // Transmit power forces the two exact-tie regimes: at -60 dBm every AP
+  // sits on the -30 dB inversion floor, at +70 dBm the near APs all hit
+  // the 45 dB clamp. The argmax must then be the first tied candidate in
+  // the given order, so every candidate order is checked against the scan.
+  int tied_probes = 0;
+  for (const double tx_dbm : {-60.0, 18.0, 70.0}) {
+    GeometryConfig cfg;
+    cfg.seed = 9;
+    cfg.link.budget.tx_power_dbm = tx_dbm;
+    TestbedGeometry geo(cfg);
+    mobility::LineDrive car(-15.0, 0.0, mph_to_mps(25.0));
+    geo.add_client(&car);
+    ASSERT_EQ(geo.num_aps(), 8);
+    const std::vector<int> forward{0, 1, 2, 3, 4, 5, 6, 7};
+    const std::vector<int> reverse(forward.rbegin(), forward.rend());
+    const std::vector<int> shuffled{5, 2, 7, 0, 3, 6, 1, 4};
+    for (Time t = Time::zero(); t < Time::sec(6); t += Time::ms(10)) {
+      for (const auto* order : {&forward, &reverse, &shuffled}) {
+        ASSERT_EQ(geo.argmax_esnr(0, t, *order), brute_argmax(geo, 0, t, *order))
+            << "tx " << tx_dbm << " dBm, t=" << t.to_millis();
+      }
+      ASSERT_EQ(geo.optimal_ap(0, t), brute_argmax(geo, 0, t, forward));
+      const double best = geo.esnr_db(brute_argmax(geo, 0, t, forward), 0, t);
+      int at_best = 0;
+      for (const int ap : forward) at_best += geo.esnr_db(ap, 0, t) == best ? 1 : 0;
+      if (at_best > 1) ++tied_probes;
+    }
+  }
+  EXPECT_GT(tied_probes, 0);
 }
 
 TEST(WgttSystemTest, EndToEndUdpDelivery) {
