@@ -61,6 +61,10 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t num_buckets);
 
   void observe(double x);
+  /// observe() for a caller that is this histogram's only writer: the same
+  /// result from plain relaxed loads and stores, without the atomic
+  /// read-modify-writes. Concurrent readers still see whole values.
+  void observe_exclusive(double x);
 
   [[nodiscard]] std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);
@@ -99,6 +103,8 @@ class Histogram {
   void merge_from(const Histogram& other);
 
  private:
+  std::atomic<std::uint64_t>& bucket_for(double x);
+
   double lo_;
   double hi_;
   double width_;
