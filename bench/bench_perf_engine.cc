@@ -290,14 +290,14 @@ int main(int argc, char** argv) {
     double sink = 0.0;
     // Warm up (first calls may touch lazily-allocated libm/TLS state).
     for (int i = 0; i < 100; ++i) {
-      sink += link.measure({i * 0.11, 0.0}, Time::us(i)).mean_snr_db;
+      sink += link.measure({i * 0.11, 0.0}, Time::us(i)).rssi_dbm;
     }
     const std::uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
       const channel::CsiMeasurement m =
           link.measure({-30.0 + i * 0.013, 0.4}, Time::us(i * 25));
-      sink += m.mean_snr_db + m.subcarrier_snr_db[static_cast<std::size_t>(i) % 56];
+      sink += m.rssi_dbm + m.subcarrier_snr_db[static_cast<std::size_t>(i) % 56];
     }
     const double measure_s = seconds_since(t0);
     const std::uint64_t allocs =

@@ -475,6 +475,10 @@ DriveResult run_drive(const DriveConfig& cfg) {
     }
   }
 
+  const auto add_rx_counts = [&result](const mac::WifiMac& m) {
+    result.rx_decided += m.receptions_decided();
+    result.rx_ruled_out += m.receptions_ruled_out();
+  };
   if (wgtt) {
     for (int d = 0; d < wgtt->num_domains(); ++d) {
       const auto& st = wgtt->controller(d).stats();
@@ -511,6 +515,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
                                    aps.stale_control_ignored;
     }
     for (int i = 0; i < wgtt->num_aps(); ++i) {
+      add_rx_counts(wgtt->ap(i).mac());
       const auto s = wgtt->ap(i).mac().total_stats();
       result.retransmissions += s.retransmissions;
       result.mpdus_delivered += s.mpdus_delivered;
@@ -518,6 +523,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
       result.stale_dropped += wgtt->ap(i).stats().stale_dropped;
     }
     for (int i = 0; i < n; ++i) {
+      add_rx_counts(wgtt->client(i).mac());
       result.ba_heard += wgtt->client(i).mac().ba_frames_heard();
       result.ba_collided += wgtt->client(i).mac().ba_frames_collided();
     }
@@ -526,11 +532,13 @@ DriveResult run_drive(const DriveConfig& cfg) {
       result.switches += base->client(i).stats().handovers_completed;
     }
     for (int i = 0; i < base->num_aps(); ++i) {
+      add_rx_counts(base->ap(i).mac());
       const auto s = base->ap(i).mac().total_stats();
       result.retransmissions += s.retransmissions;
       result.mpdus_delivered += s.mpdus_delivered;
     }
     for (int i = 0; i < n; ++i) {
+      add_rx_counts(base->client(i).mac());
       result.ba_heard += base->client(i).mac().ba_frames_heard();
       result.ba_collided += base->client(i).mac().ba_frames_collided();
     }

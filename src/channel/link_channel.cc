@@ -2,23 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace wgtt::channel {
-
-namespace {
-// Facts about phy::effective_snr_db that esnr_upper_bound_db relies on
-// (DESIGN.md §8, "Exact work skipping").
-// The BER inversion never returns below its bisection floor, 1e-3 (-30 dB).
-constexpr double kEsnrFloorDb = -30.0;
-// The mean-BER < 1e-12 clamp to 45 dB needs a subcarrier above ~30.1 dB
-// (64-QAM); below this bound it is unreachable, at or above it the bound
-// gives up.
-constexpr double kClampGuardDb = 29.0;
-// Covers the bisection's last-bracket rounding and the averaged BER's
-// rounding, both many orders of magnitude smaller.
-constexpr double kBoundMarginDb = 1e-3;
-}  // namespace
 
 LinkChannel::LinkChannel(Vec2 ap_position, Vec2 boresight_target,
                          const Config& config, Rng& rng)
@@ -44,17 +29,12 @@ double LinkChannel::large_scale_snr_db(Vec2 client_pos) const {
   return large_scale_rx_dbm(client_pos) - config_.budget.noise_floor_dbm;
 }
 
-double LinkChannel::esnr_upper_bound_db(Vec2 client_pos) const {
+double LinkChannel::snr_ceiling_db(Vec2 client_pos) const {
   // Each subcarrier's SNR is large_scale_snr_db + to_db(max(|H|^2, 1e-4))
   // with |H|^2 <= peak_power(); the 1e-9 slack covers the rounding of the
-  // computed |H|^2. ESNR, the flat SNR with the subcarriers' mean BER,
-  // cannot exceed the best subcarrier's SNR.
-  const double peak_snr_db =
-      large_scale_snr_db(client_pos) +
-      to_db(std::max(fading_.peak_power() * (1.0 + 1e-9), 1e-4));
-  const double bound = std::max(peak_snr_db, kEsnrFloorDb) + kBoundMarginDb;
-  return bound >= kClampGuardDb ? std::numeric_limits<double>::infinity()
-                                : bound;
+  // computed |H|^2.
+  return large_scale_snr_db(client_pos) +
+         to_db(std::max(fading_.peak_power() * (1.0 + 1e-9), 1e-4));
 }
 
 CsiMeasurement LinkChannel::measure(Vec2 client_pos, Time t) const {
@@ -65,19 +45,15 @@ CsiMeasurement LinkChannel::measure(Vec2 client_pos, Time t) const {
   m.when = t;
   const double base_snr_db = rx_dbm - config_.budget.noise_floor_dbm;
   double mean_power = 0.0;
-  double mean_snr_lin = 0.0;
   for (std::size_t i = 0; i < snap.gains.size(); ++i) {
     const double p = std::norm(snap.gains[i]);
     mean_power += p;
     // Floor the per-subcarrier fade at -40 dB to keep the dB math finite in
     // a deep null.
-    const double snr_db = base_snr_db + to_db(std::max(p, 1e-4));
-    m.subcarrier_snr_db[i] = snr_db;
-    mean_snr_lin += from_db(snr_db);
+    m.subcarrier_snr_db[i] = base_snr_db + to_db(std::max(p, 1e-4));
   }
   mean_power /= static_cast<double>(snap.gains.size());
   m.rssi_dbm = rx_dbm + to_db(std::max(mean_power, 1e-4));
-  m.mean_snr_db = to_db(mean_snr_lin / static_cast<double>(snap.gains.size()));
   return m;
 }
 

@@ -44,7 +44,6 @@ struct CsiMeasurement {
   Time when;
   std::array<double, kNumSubcarriers> subcarrier_snr_db{};
   double rssi_dbm = 0.0;
-  double mean_snr_db = 0.0;
 };
 
 class LinkChannel {
@@ -72,13 +71,11 @@ class LinkChannel {
   /// Mean SNR over fading, dB (large-scale only).
   [[nodiscard]] double large_scale_snr_db(Vec2 client_pos) const;
 
-  /// An upper bound on phy::esnr_metric_db(measure(client_pos, t)
-  /// .subcarrier_snr_db) for every t, at the cost of one large-scale
-  /// evaluation: no fading sum, no BER inversion. +infinity where the
-  /// bound cannot be trusted (the ESNR's 45 dB clamp is reachable). The
-  /// accuracy probe prunes its exact argmax with it (DESIGN.md §8, "Exact
-  /// work skipping").
-  [[nodiscard]] double esnr_upper_bound_db(Vec2 client_pos) const;
+  /// An upper bound, in dB, on every subcarrier SNR of
+  /// measure(client_pos, t), for every t, at the cost of one large-scale
+  /// evaluation: no fading sum. phy::esnr_ceiling_db turns it into a bound
+  /// on the ESNR (DESIGN.md §8, "Exact work skipping").
+  [[nodiscard]] double snr_ceiling_db(Vec2 client_pos) const;
 
   [[nodiscard]] Vec2 ap_position() const { return ap_position_; }
   [[nodiscard]] const LinkBudget& budget() const { return config_.budget; }

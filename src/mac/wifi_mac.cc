@@ -1,6 +1,8 @@
 #include "mac/wifi_mac.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -9,22 +11,18 @@
 namespace wgtt::mac {
 
 namespace {
-/// Block ACKs are sent at the 24 Mbit/s legacy control rate (16-QAM 1/2):
-/// fast, but fragile near cell edges — which is why the paper forwards
-/// overheard BAs between APs (§3.2.1).
-double ba_decode_probability(const channel::CsiMeasurement& csi) {
-  const double esnr =
-      phy::effective_snr_db(csi.subcarrier_snr_db, phy::Modulation::kQam16);
-  return phy::mpdu_delivery_probability(esnr, phy::Mcs::kMcs3, 32);
-}
-
-/// Beacons and management frames go at the 1 Mbit/s basic rate: slow and
-/// very robust (decodable well past the data-usable range).
-double mgmt_decode_probability(const channel::CsiMeasurement& csi,
-                               std::size_t bytes) {
-  const double esnr =
-      phy::effective_snr_db(csi.subcarrier_snr_db, phy::Modulation::kBpsk);
-  return phy::mpdu_delivery_probability(esnr, phy::Mcs::kMcs0, bytes);
+/// Fills `out` with each decode draw's delivery probability at `esnr_db`.
+/// Consecutive draws of equal length share one evaluation: the same
+/// function of the same input.
+void delivery_probabilities(double esnr_db, phy::Mcs mcs,
+                            const std::vector<std::size_t>& bytes,
+                            std::vector<double>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    out.push_back(i > 0 && bytes[i] == bytes[i - 1]
+                      ? out.back()
+                      : phy::mpdu_delivery_probability(esnr_db, mcs, bytes[i]));
+  }
 }
 }  // namespace
 
@@ -410,6 +408,56 @@ void WifiMac::send_block_ack(RadioId to, const BaBitmap& ba,
   }, sim::EventCategory::kMacTx);
 }
 
+bool WifiMac::decide_decodes(RadioId from, phy::Mcs mcs,
+                             channel::CsiMeasurement& csi) {
+  // Bound-first decode (DESIGN.md §8). Every exact probability p is at
+  // most p_hi, its value at the ESNR ceiling, and above 0 (ESNR never falls
+  // below the -30 dB floor). When every p_hi < 1 - 1e-9, Rng::chance would
+  // make exactly one uniform draw per MPDU, so the draws can be made up
+  // front; if each fails its p_hi, each fails its p, and nothing reads the
+  // CSI. Otherwise the draws run as Rng::chance would make them.
+  const phy::Modulation modulation = phy::mcs_info(mcs).modulation;
+  const double ceiling =
+      ceiling_ ? phy::esnr_ceiling_db(modulation, ceiling_(from))
+               : std::numeric_limits<double>::infinity();
+  bool one_draw_each =
+      std::isfinite(ceiling) &&
+      std::all_of(draw_bytes_.begin(), draw_bytes_.end(), [](std::size_t b) {
+        return b <= phy::kMaxPositivePsduBytes;
+      });
+  if (one_draw_each) {
+    delivery_probabilities(ceiling, mcs, draw_bytes_, draw_p_);
+    one_draw_each = std::all_of(draw_p_.begin(), draw_p_.end(),
+                                [](double p_hi) { return p_hi < 1.0 - 1e-9; });
+  }
+  draw_u_.clear();
+  if (one_draw_each) {
+    bool hopeless = true;
+    for (const double p_hi : draw_p_) {
+      draw_u_.push_back(rng_.uniform());
+      if (draw_u_.back() < p_hi * (1.0 + 1e-9)) hopeless = false;
+    }
+    if (hopeless) {
+      ++rx_ruled_out_;
+      return false;
+    }
+  }
+
+  csi = sampler_(from);
+  delivery_probabilities(
+      phy::effective_snr_db(csi.subcarrier_snr_db, modulation), mcs,
+      draw_bytes_, draw_p_);
+  draw_ok_.clear();
+  bool any = false;
+  for (std::size_t i = 0; i < draw_p_.size(); ++i) {
+    const bool ok =
+        one_draw_each ? draw_u_[i] < draw_p_[i] : rng_.chance(draw_p_[i]);
+    draw_ok_.push_back(ok);
+    any = any || ok;
+  }
+  return any;
+}
+
 void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
   if (!sampler_) return;
   const bool addressed =
@@ -434,27 +482,41 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
   // no channel sample and no on_heard call. The sampler is pure, so
   // skipping it draws no RNG and moves no event.
   if (ctx.collided) return;
-  const channel::CsiMeasurement csi = sampler_(frame.from);
 
-  if (const auto* df = std::get_if<DataFrame>(&frame.body)) {
+  // The decode plan: the frame's MCS and the PSDU length of each draw.
+  draw_bytes_.clear();
+  phy::Mcs mcs = phy::Mcs::kMcs0;
+  const auto* df = std::get_if<DataFrame>(&frame.body);
+  if (df != nullptr) {
     // Per-MPDU decode draws from this receiver's own channel realization.
-    const double esnr = phy::effective_snr_db(
-        csi.subcarrier_snr_db, phy::mcs_info(df->mcs).modulation);
-    std::vector<std::uint16_t> decoded;
-    decoded.reserve(df->mpdus.size());
-    for (const auto& m : df->mpdus) {
-      const double pr = phy::mpdu_delivery_probability(
-          esnr, df->mcs, m.packet.air_bytes());
-      if (rng_.chance(pr)) decoded.push_back(m.seq);
+    mcs = df->mcs;
+    for (const auto& m : df->mpdus) draw_bytes_.push_back(m.packet.air_bytes());
+  } else if (std::holds_alternative<BlockAckFrame>(frame.body)) {
+    // Block ACKs are sent at the 24 Mbit/s legacy control rate (16-QAM
+    // 1/2): fast, but fragile near cell edges — which is why the paper
+    // forwards overheard BAs between APs (§3.2.1).
+    mcs = phy::Mcs::kMcs3;
+    draw_bytes_.push_back(32);
+  } else {
+    // Beacons and management frames go at the 1 Mbit/s basic rate: slow
+    // and very robust (decodable well past the data-usable range).
+    draw_bytes_.push_back(
+        std::holds_alternative<BeaconFrame>(frame.body) ? 300 : 96);
+  }
+  ++rx_decided_;
+  channel::CsiMeasurement csi;
+  if (!decide_decodes(frame.from, mcs, csi)) return;
+  if (on_heard) on_heard(frame, true, csi);
+  if (!addressed) return;
+
+  if (df != nullptr) {
+    decoded_seqs_.clear();
+    for (std::size_t i = 0; i < df->mpdus.size(); ++i) {
+      if (draw_ok_[i]) decoded_seqs_.push_back(df->mpdus[i].seq);
     }
-
-    if (on_heard) on_heard(frame, !decoded.empty(), csi);
-
-    if (!addressed) return;
-
-    if (!decoded.empty() && df->needs_block_ack) {
+    if (df->needs_block_ack) {
       const BaBitmap ba =
-          BaBitmap::from_decoded(df->mpdus.front().seq, decoded);
+          BaBitmap::from_decoded(df->mpdus.front().seq, decoded_seqs_);
       Peer* p = peers_.contains(frame.from) ? &peer_of(frame.from) : nullptr;
       if (p != nullptr) ++p->stats.ba_sent;
       send_block_ack(frame.from, ba, frame.tx_uid);
@@ -462,7 +524,8 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
 
     // Deliver new MPDUs upward through the duplicate filter.
     for (const auto& m : df->mpdus) {
-      if (std::find(decoded.begin(), decoded.end(), m.seq) == decoded.end()) {
+      if (std::find(decoded_seqs_.begin(), decoded_seqs_.end(), m.seq) ==
+          decoded_seqs_.end()) {
         continue;
       }
       RxDupFilter& filter = config_.shared_rx_scoreboard
@@ -486,9 +549,6 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
   }
 
   if (const auto* baf = std::get_if<BlockAckFrame>(&frame.body)) {
-    const bool ok = rng_.chance(ba_decode_probability(csi));
-    if (on_heard) on_heard(frame, ok, csi);
-    if (!ok || !addressed) return;
     BaBitmap ba;
     ba.start_seq = baf->start_seq;
     ba.bits = baf->bitmap;
@@ -504,17 +564,8 @@ void WifiMac::handle_rx(const Frame& frame, const Medium::RxContext& ctx) {
     return;
   }
 
-  if (std::holds_alternative<BeaconFrame>(frame.body)) {
-    const bool ok = rng_.chance(mgmt_decode_probability(csi, 300));
-    if (on_heard) on_heard(frame, ok, csi);
-    return;
-  }
-
   if (const auto* mf = std::get_if<MgmtFrame>(&frame.body)) {
-    const bool ok = rng_.chance(mgmt_decode_probability(csi, 96));
-    if (on_heard) on_heard(frame, ok, csi);
-    if (ok && addressed && on_mgmt) on_mgmt(frame.from, *mf);
-    return;
+    if (on_mgmt) on_mgmt(frame.from, *mf);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/units.h"
@@ -11,6 +12,25 @@ namespace wgtt::phy {
 namespace {
 
 double q_function(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
+
+// Facts about effective_snr_db that esnr_ceiling_db relies on (DESIGN.md §8,
+// "Exact work skipping").
+// The mean-BER < 1e-12 clamp to 45 dB needs every subcarrier above the SNR
+// where the modulation's BER falls to 1e-12: 13.93 dB (BPSK), 16.94 (QPSK),
+// 23.88 (16-QAM), 30.07 (64-QAM). A ceiling below the guard, set about 1 dB
+// lower, proves the clamp unreachable; at or above it the bound gives up.
+double clamp_guard_db(Modulation m) {
+  switch (m) {
+    case Modulation::kBpsk: return 13.0;
+    case Modulation::kQpsk: return 16.0;
+    case Modulation::kQam16: return 23.0;
+    case Modulation::kQam64: return 29.0;
+  }
+  return 0.0;
+}
+// Covers the bisection's last-bracket rounding and the averaged BER's
+// rounding, both many orders of magnitude smaller.
+constexpr double kCeilingMarginDb = 1e-3;
 
 }  // namespace
 
@@ -63,6 +83,14 @@ double effective_snr_db(std::span<const double> subcarrier_snr_db,
   // Clamp: all-subcarriers-perfect gives BER 0; report a high ceiling.
   if (mean_ber < 1e-12) return 45.0;
   return to_db(snr_for_ber(m, mean_ber));
+}
+
+double esnr_ceiling_db(Modulation m, double peak_snr_db) {
+  // ESNR is the flat SNR whose BER equals the subcarriers' mean BER, which
+  // is at least the best subcarrier's BER: so ESNR <= peak, or the floor.
+  const double bound = std::max(peak_snr_db, kEsnrFloorDb) + kCeilingMarginDb;
+  return bound >= clamp_guard_db(m) ? std::numeric_limits<double>::infinity()
+                                    : bound;
 }
 
 double esnr_metric_db(std::span<const double> subcarrier_snr_db) {

@@ -12,6 +12,7 @@
 // exactly the regime the roadside picocells live in.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "phy/mcs.h"
@@ -29,6 +30,16 @@ namespace wgtt::phy {
 [[nodiscard]] double effective_snr_db(std::span<const double> subcarrier_snr_db,
                                       Modulation m);
 
+/// The lowest value effective_snr_db returns: snr_for_ber's bisection floor.
+inline constexpr double kEsnrFloorDb = -30.0;
+
+/// An upper bound on effective_snr_db(csi, m) over every CSI vector whose
+/// subcarriers are all at most `peak_snr_db`, or +infinity where the bound
+/// cannot be trusted (the 45 dB clamp of a near-zero mean BER is
+/// reachable). Costs no BER evaluation (DESIGN.md §8, "Exact work
+/// skipping").
+[[nodiscard]] double esnr_ceiling_db(Modulation m, double peak_snr_db);
+
 /// The scalar link metric WGTT's controller tracks: ESNR evaluated for
 /// 64-QAM. The highest-order modulation keeps discriminating between links
 /// deep into the SNR range where lower orders' BER saturates to zero — a
@@ -42,6 +53,11 @@ namespace wgtt::phy {
 /// frame-length correction.
 [[nodiscard]] double mpdu_delivery_probability(double esnr_db, Mcs mcs,
                                                std::size_t psdu_bytes);
+
+/// Up to this PSDU length, mpdu_delivery_probability is > 0 for every MCS at
+/// every ESNR effective_snr_db can return (>= kEsnrFloorDb): the logistic
+/// power does not underflow (phy_test checks it).
+inline constexpr std::size_t kMaxPositivePsduBytes = 16'384;
 
 /// Convenience: delivery probability straight from per-subcarrier SNRs.
 [[nodiscard]] double mpdu_delivery_probability(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
 namespace wgtt::phy {
 
@@ -68,11 +69,17 @@ void EsnrRateSelector::observe_csi(std::span<const double> subcarrier_snr_db) {
     scratch[i] = subcarrier_snr_db[i] - margin_db_;
   }
   const std::span<const double> derated(scratch.data(), n);
+  // expected_goodput_mbps per MCS, with one ESNR per modulation: MCSs that
+  // share a modulation share the same effective_snr_db of the same input.
+  std::array<std::optional<double>, 4> esnr_of;  // by Modulation
   double best_goodput = -1.0;
   Mcs best = Mcs::kMcs0;
   for (const auto& info : all_mcs()) {
+    auto& esnr = esnr_of[static_cast<std::size_t>(info.modulation)];
+    if (!esnr) esnr = effective_snr_db(derated, info.modulation);
     const double g =
-        expected_goodput_mbps(derated, info.index, reference_bytes_);
+        info.data_rate_mbps *
+        mpdu_delivery_probability(*esnr, info.index, reference_bytes_);
     if (g > best_goodput) {
       best_goodput = g;
       best = info.index;

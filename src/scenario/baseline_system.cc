@@ -3,6 +3,10 @@
 #include <limits>
 
 namespace wgtt::scenario {
+namespace {
+/// Every subcarrier's SNR on a channel the system does not model.
+constexpr double kFallbackSnrDb = 0.0;
+}  // namespace
 
 BaselineSystem::BaselineSystem(const BaselineSystemConfig& config)
     : config_(config),
@@ -19,6 +23,9 @@ BaselineSystem::BaselineSystem(const BaselineSystemConfig& config)
     ap_idx_of_radio_[ap->mac().radio()] = i;
     ap->mac().set_channel_sampler([this, i](mac::RadioId peer) {
       return sample_for_ap(i, peer);
+    });
+    ap->mac().set_snr_ceiling([this, i](mac::RadioId peer) {
+      return snr_ceiling_for_ap(i, peer);
     });
     ap->mac().set_interest_filter([this](mac::RadioId from) {
       return client_idx_of_radio_.contains(from);
@@ -72,6 +79,9 @@ int BaselineSystem::add_client(const mobility::Trajectory* trajectory) {
   client->mac().set_channel_sampler([this, idx](mac::RadioId peer) {
     return sample_for_client(idx, peer);
   });
+  client->mac().set_snr_ceiling([this, idx](mac::RadioId peer) {
+    return snr_ceiling_for_client(idx, peer);
+  });
   client->mac().set_interest_filter([this](mac::RadioId from) {
     return ap_idx_of_radio_.contains(from);
   });
@@ -106,9 +116,8 @@ int BaselineSystem::serving_ap(int client) const {
 channel::CsiMeasurement BaselineSystem::fallback_csi() const {
   channel::CsiMeasurement m;
   m.when = sched_.now();
-  m.subcarrier_snr_db.fill(0.0);
+  m.subcarrier_snr_db.fill(kFallbackSnrDb);
   m.rssi_dbm = -94.0;
-  m.mean_snr_db = 0.0;
   return m;
 }
 
@@ -127,6 +136,22 @@ channel::CsiMeasurement BaselineSystem::sample_for_client(int client,
   if (it == ap_idx_of_radio_.end()) return fallback_csi();
   return geometry_.link(it->second, client)
       .measure(geometry_.client_position(client, sched_.now()), sched_.now());
+}
+
+double BaselineSystem::snr_ceiling_for_ap(int ap, mac::RadioId peer) const {
+  auto it = client_idx_of_radio_.find(peer);
+  if (it == client_idx_of_radio_.end()) return kFallbackSnrDb;
+  const int c = it->second;
+  return geometry_.link(ap, c).snr_ceiling_db(
+      geometry_.client_position(c, sched_.now()));
+}
+
+double BaselineSystem::snr_ceiling_for_client(int client,
+                                              mac::RadioId peer) const {
+  auto it = ap_idx_of_radio_.find(peer);
+  if (it == ap_idx_of_radio_.end()) return kFallbackSnrDb;
+  return geometry_.link(it->second, client)
+      .snr_ceiling_db(geometry_.client_position(client, sched_.now()));
 }
 
 }  // namespace wgtt::scenario

@@ -64,6 +64,10 @@ class BaselineSystem {
   [[nodiscard]] channel::CsiMeasurement sample_for_client(int client,
                                                           mac::RadioId peer);
   [[nodiscard]] channel::CsiMeasurement fallback_csi() const;
+  /// SNR ceilings (LinkChannel::snr_ceiling_db) matching the samplers.
+  [[nodiscard]] double snr_ceiling_for_ap(int ap, mac::RadioId peer) const;
+  [[nodiscard]] double snr_ceiling_for_client(int client,
+                                              mac::RadioId peer) const;
 
   BaselineSystemConfig config_;
   Rng rng_;

@@ -101,7 +101,9 @@ int TestbedGeometry::argmax_esnr(int client, Time now,
   bound_order_.clear();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     bound_order_.emplace_back(
-        link(candidates[i], client).esnr_upper_bound_db(pos), i);
+        phy::esnr_ceiling_db(phy::Modulation::kQam64,
+                             link(candidates[i], client).snr_ceiling_db(pos)),
+        i);
   }
   // Highest bound first, candidate order among equal bounds (a stable
   // sort without stable_sort's temporary buffer).

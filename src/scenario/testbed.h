@@ -75,11 +75,11 @@ class TestbedGeometry {
 
   /// The candidate AP with maximal instantaneous ESNR to the client; on
   /// ties, the one earliest in `candidates` (non-empty). Exact: the answer
-  /// of a full scan. Candidates are visited in descending order of
-  /// LinkChannel::esnr_upper_bound_db, and the scan stops at the first
-  /// bound below the best ESNR found, so most candidates cost one
-  /// large-scale evaluation instead of a full CSI measurement and BER
-  /// inversion (DESIGN.md §8, "Exact work skipping").
+  /// of a full scan. Candidates are visited in descending order of their
+  /// 64-QAM phy::esnr_ceiling_db of LinkChannel::snr_ceiling_db, and the
+  /// scan stops at the first bound below the best ESNR found, so most
+  /// candidates cost one large-scale evaluation instead of a full CSI
+  /// measurement and BER inversion (DESIGN.md §8, "Exact work skipping").
   [[nodiscard]] int argmax_esnr(int client, Time now,
                                 std::span<const int> candidates) const;
 

@@ -10,6 +10,8 @@ namespace {
 /// flight (centimetres at transit speeds) with room to spare, so the
 /// filtered candidate set is always a superset of the audible set.
 constexpr double kReachMarginM = 5.0;
+/// Every subcarrier's SNR on a channel the system does not model.
+constexpr double kFallbackSnrDb = 0.0;
 }  // namespace
 
 WgttSystem::WgttSystem(const WgttSystemConfig& config)
@@ -81,6 +83,9 @@ WgttSystem::WgttSystem(const WgttSystemConfig& config)
     ap_idx_of_radio_[ap->mac().radio()] = i;
     ap->mac().set_channel_sampler([this, i](mac::RadioId peer) {
       return sample_for_ap(i, peer);
+    });
+    ap->mac().set_snr_ceiling([this, i](mac::RadioId peer) {
+      return snr_ceiling_for_ap(i, peer);
     });
     ap->mac().set_interest_filter([this](mac::RadioId from) {
       return client_idx_of_radio_.contains(from);
@@ -176,6 +181,9 @@ int WgttSystem::add_client(const mobility::Trajectory* trajectory) {
   client_idx_of_radio_[client->radio()] = idx;
   client->mac().set_channel_sampler([this, idx](mac::RadioId peer) {
     return sample_for_client(idx, peer);
+  });
+  client->mac().set_snr_ceiling([this, idx](mac::RadioId peer) {
+    return snr_ceiling_for_client(idx, peer);
   });
   if (metrics_ != nullptr) client->mac().set_metrics(metrics_, "client_mac");
   for (auto& ctrl : controllers_) ctrl->add_client(cid);
@@ -659,9 +667,8 @@ channel::CsiMeasurement WgttSystem::fallback_csi() const {
   // weak flat channel so decode draws almost always fail.
   channel::CsiMeasurement m;
   m.when = sched_.now();
-  m.subcarrier_snr_db.fill(0.0);
+  m.subcarrier_snr_db.fill(kFallbackSnrDb);
   m.rssi_dbm = -94.0;
-  m.mean_snr_db = 0.0;
   return m;
 }
 
@@ -716,6 +723,23 @@ channel::CsiMeasurement WgttSystem::sample_for_client(int client,
   }
   return geometry_.link(ap, client)
       .measure(geometry_.client_position(client, sched_.now()), sched_.now());
+}
+
+double WgttSystem::snr_ceiling_for_ap(int ap, mac::RadioId peer) const {
+  auto it = client_idx_of_radio_.find(peer);
+  if (it == client_idx_of_radio_.end()) return kFallbackSnrDb;
+  const int c = it->second;
+  return geometry_.link(ap, c).snr_ceiling_db(
+      geometry_.client_position(c, sched_.now()));
+}
+
+double WgttSystem::snr_ceiling_for_client(int client, mac::RadioId peer) const {
+  // The BSSID stands for "the nearest AP" in sample_for_client; no bound.
+  if (peer == mac::kBssidWgtt) return std::numeric_limits<double>::infinity();
+  auto it = ap_idx_of_radio_.find(peer);
+  if (it == ap_idx_of_radio_.end()) return kFallbackSnrDb;
+  return geometry_.link(it->second, client)
+      .snr_ceiling_db(geometry_.client_position(client, sched_.now()));
 }
 
 }  // namespace wgtt::scenario

@@ -262,6 +262,10 @@ class WgttSystem {
   [[nodiscard]] channel::CsiMeasurement sample_for_client(int client,
                                                           mac::RadioId peer);
   [[nodiscard]] channel::CsiMeasurement fallback_csi() const;
+  /// SNR ceilings (LinkChannel::snr_ceiling_db) matching the samplers.
+  [[nodiscard]] double snr_ceiling_for_ap(int ap, mac::RadioId peer) const;
+  [[nodiscard]] double snr_ceiling_for_client(int client,
+                                              mac::RadioId peer) const;
   [[nodiscard]] int nearest_ap(int client) const;
   /// The controller the server should route client c's traffic through:
   /// the last-announced owner, or the lowest-index alive controller when

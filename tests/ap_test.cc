@@ -162,7 +162,6 @@ channel::CsiMeasurement flat_csi(double snr_db, Time when) {
   m.when = when;
   m.subcarrier_snr_db.fill(snr_db);
   m.rssi_dbm = -94.0 + snr_db;
-  m.mean_snr_db = snr_db;
   return m;
 }
 

@@ -2,6 +2,7 @@
 // pattern, fading statistics, and the composite LinkChannel.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -456,25 +457,19 @@ TEST(LinkChannelTest, MeasureBitIdenticalToSeedFormula) {
     std::vector<double> ref_snr;
     ref_snr.reserve(snap.gains.size());
     double mean_power = 0.0;
-    double mean_snr_lin = 0.0;
     for (const auto& g : snap.gains) {
       const double p = std::norm(g);
       mean_power += p;
-      const double snr_db = base_snr_db + to_db(std::max(p, 1e-4));
-      ref_snr.push_back(snr_db);
-      mean_snr_lin += from_db(snr_db);
+      ref_snr.push_back(base_snr_db + to_db(std::max(p, 1e-4)));
     }
     mean_power /= static_cast<double>(snap.gains.size());
     const double ref_rssi = rx_dbm + to_db(std::max(mean_power, 1e-4));
-    const double ref_mean_snr =
-        to_db(mean_snr_lin / static_cast<double>(snap.gains.size()));
 
     for (int i = 0; i < kNumSubcarriers; ++i) {
       const auto k = static_cast<std::size_t>(i);
       ASSERT_EQ(m.subcarrier_snr_db[k], ref_snr[k]) << "sample " << s << " sc " << i;
     }
     ASSERT_EQ(m.rssi_dbm, ref_rssi) << "sample " << s;
-    ASSERT_EQ(m.mean_snr_db, ref_mean_snr) << "sample " << s;
   }
 }
 
@@ -508,15 +503,22 @@ TEST(TappedDelayTest, PeakPowerBoundsEverySubcarrier) {
 }
 
 TEST(LinkChannelTest, EsnrUpperBoundHoldsEverywhere) {
-  // The accuracy probe prunes with this bound, so it must hold at every
+  // The accuracy probe (64-QAM) and the MAC's bound-first decode (every
+  // modulation) skip work with these bounds, so they must hold at every
   // position and time, in all three regimes: far links whose ESNR sits on
   // the -30 dB inversion floor, ordinary links, and links close enough for
-  // the 45 dB clamp, where the bound must give up (+infinity).
+  // the 45 dB clamp, where the ESNR bound must give up (+infinity).
+  constexpr phy::Modulation kModulations[] = {
+      phy::Modulation::kBpsk, phy::Modulation::kQpsk, phy::Modulation::kQam16,
+      phy::Modulation::kQam64};
+  struct Hits {
+    int floor = 0;
+    int clamp = 0;
+    int finite = 0;
+    int infinite = 0;
+  };
+  std::array<Hits, std::size(kModulations)> hits{};
   LinkChannel::Config cfg;
-  int floor_hits = 0;
-  int clamp_hits = 0;
-  int finite_bounds = 0;
-  int infinite_bounds = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     Rng rng(seed);
     const Vec2 ap{0.0, seed % 2 == 0 ? 15.0 : 3.0};
@@ -527,25 +529,34 @@ TEST(LinkChannelTest, EsnrUpperBoundHoldsEverywhere) {
       const double reach = s % 3 == 0 ? 10.0 : (s % 3 == 1 ? 150.0 : 8000.0);
       const Vec2 pos{draw.uniform(-reach, reach), draw.uniform(-3.0, 3.0)};
       const Time t = Time::millis(draw.uniform(0.0, 1e4));
-      const double esnr =
-          phy::esnr_metric_db(link.measure(pos, t).subcarrier_snr_db);
-      const double bound = link.esnr_upper_bound_db(pos);
-      ASSERT_LE(esnr, bound) << "seed " << seed << " x " << pos.x;
-      ASSERT_GE(bound, -30.0);
-      if (esnr <= -30.0 + 1e-9) ++floor_hits;
-      if (esnr == 45.0) ++clamp_hits;
-      if (std::isinf(bound)) {
-        ++infinite_bounds;
-      } else {
-        ASSERT_LT(bound, 29.0);
-        ++finite_bounds;
+      const CsiMeasurement m = link.measure(pos, t);
+      const double peak = link.snr_ceiling_db(pos);
+      for (const double snr : m.subcarrier_snr_db) {
+        ASSERT_LE(snr, peak) << "seed " << seed << " x " << pos.x;
+      }
+      for (std::size_t k = 0; k < std::size(kModulations); ++k) {
+        const double esnr =
+            phy::effective_snr_db(m.subcarrier_snr_db, kModulations[k]);
+        const double bound = phy::esnr_ceiling_db(kModulations[k], peak);
+        ASSERT_LE(esnr, bound) << "seed " << seed << " x " << pos.x
+                               << " modulation " << k;
+        ASSERT_GE(bound, phy::kEsnrFloorDb);
+        if (esnr <= phy::kEsnrFloorDb + 1e-9) ++hits[k].floor;
+        if (esnr == 45.0) ++hits[k].clamp;
+        if (std::isinf(bound)) {
+          ++hits[k].infinite;
+        } else {
+          ++hits[k].finite;
+        }
       }
     }
   }
-  EXPECT_GT(floor_hits, 0);
-  EXPECT_GT(clamp_hits, 0);
-  EXPECT_GT(finite_bounds, 0);
-  EXPECT_GT(infinite_bounds, 0);
+  for (std::size_t k = 0; k < std::size(kModulations); ++k) {
+    EXPECT_GT(hits[k].floor, 0) << "modulation " << k;
+    EXPECT_GT(hits[k].clamp, 0) << "modulation " << k;
+    EXPECT_GT(hits[k].finite, 0) << "modulation " << k;
+    EXPECT_GT(hits[k].infinite, 0) << "modulation " << k;
+  }
 }
 
 TEST(LinkChannelTest, SnrFallsWithDistanceAlongRoad) {
@@ -580,15 +591,17 @@ TEST(LinkChannelTest, MeasurementFieldsConsistent) {
   LinkChannel link({0.0, 15.0}, {0.0, 0.0}, cfg, rng);
   const auto m = link.measure({0.5, 0.0}, Time::ms(1));
   ASSERT_EQ(m.subcarrier_snr_db.size(), static_cast<std::size_t>(kNumSubcarriers));
-  // Mean SNR lies within the subcarrier range.
+  // The SNR of the mean power (RSSI over the noise floor) lies within the
+  // subcarrier range.
   double lo = 1e9;
   double hi = -1e9;
   for (double s : m.subcarrier_snr_db) {
     lo = std::min(lo, s);
     hi = std::max(hi, s);
   }
-  EXPECT_GE(m.mean_snr_db, lo);
-  EXPECT_LE(m.mean_snr_db, hi + 1e-9);
+  const double rssi_snr = m.rssi_dbm - cfg.budget.noise_floor_dbm;
+  EXPECT_GE(rssi_snr, lo - 1e-9);
+  EXPECT_LE(rssi_snr, hi + 1e-9);
   // RSSI = noise floor + mean power: consistent with the budget.
   EXPECT_GT(m.rssi_dbm, -95.0);
   EXPECT_LT(m.rssi_dbm, 0.0);

@@ -104,7 +104,6 @@ class ControllerTest : public ::testing::Test {
     r.measurement.when = sched_.now();
     r.measurement.subcarrier_snr_db.fill(snr_db);
     r.measurement.rssi_dbm = -94.0 + snr_db;
-    r.measurement.mean_snr_db = snr_db;
     return r;
   }
 

@@ -23,7 +23,6 @@ channel::CsiMeasurement flat_csi(double snr_db, Time when) {
   m.when = when;
   m.subcarrier_snr_db.fill(snr_db);
   m.rssi_dbm = -94.0 + snr_db;
-  m.mean_snr_db = snr_db;
   return m;
 }
 
@@ -283,6 +282,86 @@ TEST_F(WifiMacTest, CollidedReceptionIsNeitherSampledNorReported) {
   EXPECT_EQ(rx.ba_frames_collided(), 2u);
   EXPECT_EQ(samples, 1);
   EXPECT_EQ(heard, 1);
+}
+
+struct DeadLinkRun {
+  int samples = 0;
+  int heard = 0;
+  std::uint64_t ruled_out = 0;
+  Time ba_delay = Time::max();  // live frame's start to its block ACK's
+};
+
+// A radio on a -20 dB link sends the MAC `dead_frames` four-MPDU data
+// frames at MCS 7, then a radio on a 40 dB link sends it one MPDU. The MAC
+// block-ACKs the live frame after a jittered SIFS; the jitter is its first
+// RNG draw after the dead frames' decode draws.
+DeadLinkRun run_dead_link(bool wire_ceiling, int dead_frames) {
+  sim::Scheduler sched;
+  Medium medium(sched, {});
+  WifiMac rx(sched, medium, Rng{77}, {});
+  rx.attach([] { return channel::Vec2{0, 0}; });
+  DeadLinkRun run;
+  Time live_start = Time::max();
+  const RadioId dead = medium.add_radio(
+      [] { return channel::Vec2{5, 0}; },
+      [](const Frame&, const Medium::RxContext&) {});
+  const RadioId live = medium.add_radio(
+      [] { return channel::Vec2{-5, 0}; },
+      [&run, &live_start](const Frame& f, const Medium::RxContext&) {
+        if (std::holds_alternative<BlockAckFrame>(f.body)) {
+          run.ba_delay = f.air_start - live_start;
+        }
+      });
+  const auto link_snr = [dead](RadioId peer) {
+    return peer == dead ? -20.0 : 40.0;
+  };
+  rx.set_channel_sampler([&](RadioId peer) {
+    ++run.samples;
+    return flat_csi(link_snr(peer), sched.now());
+  });
+  if (wire_ceiling) rx.set_snr_ceiling(link_snr);
+  rx.on_heard = [&run](const Frame&, bool, const channel::CsiMeasurement&) {
+    ++run.heard;
+  };
+  const auto data_to_rx = [&rx](RadioId from, int mpdus, std::uint16_t seq) {
+    Frame f;
+    f.from = from;
+    f.to = rx.radio();
+    DataFrame df;
+    df.mcs = phy::Mcs::kMcs7;
+    for (int i = 0; i < mpdus; ++i) {
+      df.mpdus.push_back(Mpdu{static_cast<std::uint16_t>(seq + i), data_packet()});
+    }
+    f.body = df;
+    return f;
+  };
+  for (int i = 0; i < dead_frames; ++i) {
+    medium.transmit(dead, data_to_rx(dead, 4, static_cast<std::uint16_t>(4 * i)),
+                    Time::us(300));
+    sched.run_until(sched.now() + Time::ms(1));
+  }
+  run.ruled_out = rx.receptions_ruled_out();
+  live_start = sched.now();
+  medium.transmit(live, data_to_rx(live, 1, 0), Time::us(300));
+  sched.run_until(sched.now() + Time::ms(1));
+  return run;
+}
+
+TEST(WifiMacBoundTest, HopelessReceptionIsDecidedWithoutSample) {
+  // Every decode draw of a dead-link frame fails its ceiling probability:
+  // no sample, no on_heard, yet the same RNG draws as a MAC that samples.
+  const DeadLinkRun bound = run_dead_link(/*wire_ceiling=*/true, 10);
+  const DeadLinkRun plain = run_dead_link(/*wire_ceiling=*/false, 10);
+  EXPECT_EQ(bound.ruled_out, 10u);
+  EXPECT_EQ(bound.samples, 1);  // the live frame only
+  EXPECT_EQ(bound.heard, 1);
+  EXPECT_EQ(plain.ruled_out, 0u);
+  EXPECT_EQ(plain.samples, 11);
+  EXPECT_EQ(plain.heard, 1);  // undecoded frames are not reported
+  ASSERT_NE(plain.ba_delay, Time::max());
+  EXPECT_EQ(bound.ba_delay, plain.ba_delay);
+  // The dead frames' draws do move the jitter: skipping them would show.
+  EXPECT_NE(run_dead_link(/*wire_ceiling=*/true, 0).ba_delay, plain.ba_delay);
 }
 
 TEST_F(WifiMacTest, MgmtFrameDelivery) {

@@ -2,6 +2,7 @@
 // probability, airtime accounting, and rate control.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "phy/airtime.h"
@@ -156,6 +157,44 @@ TEST(DeliveryProbabilityTest, HighSnrNearCertain) {
   EXPECT_LT(mpdu_delivery_probability(flat_csi(0.0), Mcs::kMcs7, 1500), 0.01);
 }
 
+TEST(DeliveryProbabilityTest, PositiveAtEsnrFloorUpToMaxLength) {
+  // The MAC's bound-first decode counts on one RNG draw per MPDU, so no
+  // probability it can meet may underflow to 0.
+  for (const auto& info : all_mcs()) {
+    EXPECT_GT(mpdu_delivery_probability(kEsnrFloorDb, info.index,
+                                        kMaxPositivePsduBytes),
+              0.0);
+  }
+}
+
+TEST(EsnrCeilingTest, BoundsFlatChannelAndGuardsTheClamp) {
+  // A flat channel at the peak SNR has the highest ESNR of every CSI vector
+  // under that peak, and is the first to reach the 45 dB clamp: the worst
+  // case of the bound.
+  for (const Modulation m : {Modulation::kBpsk, Modulation::kQpsk,
+                             Modulation::kQam16, Modulation::kQam64}) {
+    double first_infinite = 0.0;
+    int finite = 0;
+    for (int i = -4000; i <= 5000; ++i) {
+      const double peak = i * 0.01;
+      const double ceiling = esnr_ceiling_db(m, peak);
+      if (std::isinf(ceiling)) {
+        if (first_infinite == 0.0) first_infinite = peak;
+        continue;
+      }
+      ASSERT_EQ(first_infinite, 0.0) << "finite again above the guard";
+      ASSERT_LE(effective_snr_db(flat_csi(peak), m), ceiling)
+          << to_string(m) << " at " << peak << " dB";
+      ++finite;
+    }
+    EXPECT_GT(finite, 0) << to_string(m);
+    // The guard sits within 1.5 dB of the clamp: not needlessly loose.
+    ASSERT_NE(first_infinite, 0.0) << to_string(m);
+    EXPECT_EQ(effective_snr_db(flat_csi(first_infinite + 1.5), m), 45.0)
+        << to_string(m);
+  }
+}
+
 TEST(ExpectedGoodputTest, PrefersRobustRateAtLowSnr) {
   // At 8 dB, MCS7's goodput collapses while MCS1's survives.
   const auto csi = flat_csi(8.0);
@@ -249,6 +288,31 @@ TEST(EsnrSelectorTest, RetreatsAfterSustainedFailure) {
   const Mcs initial = rc.select();
   for (int i = 0; i < 10; ++i) rc.report(rc.select(), 10, 0);
   EXPECT_LT(static_cast<int>(rc.select()), static_cast<int>(initial));
+}
+
+TEST(EsnrSelectorTest, PicksTheExpectedGoodputArgmax) {
+  // observe_csi shares one ESNR among the MCSs of a modulation; its choice
+  // must be the argmax of expected_goodput_mbps over every MCS.
+  Rng rng(42);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> csi(static_cast<std::size_t>(kNumSubcarriers));
+    const double centre = rng.uniform(-5.0, 40.0);
+    for (double& s : csi) s = centre + rng.uniform(-12.0, 6.0);
+    std::vector<double> derated = csi;
+    for (double& s : derated) s -= 2.5;
+    double best_goodput = -1.0;
+    Mcs best = Mcs::kMcs0;
+    for (const auto& info : all_mcs()) {
+      const double g = expected_goodput_mbps(derated, info.index, 1500);
+      if (g > best_goodput) {
+        best_goodput = g;
+        best = info.index;
+      }
+    }
+    EsnrRateSelector rc(1500, 2.5);
+    rc.observe_csi(csi);
+    EXPECT_EQ(rc.select(), best) << "trial " << trial;
+  }
 }
 
 // Parameterized property: for every MCS, delivery probability at its
