@@ -60,6 +60,37 @@ std::complex<double> SpatialTap::gain(Vec2 pos, Time t) const {
   return {re, im};
 }
 
+std::shared_ptr<const TappedDelayChannel::Rotations>
+TappedDelayChannel::rotations_for(int num_taps, double tap_spacing_ns) {
+  // Every link of a scenario shares one config: keep the last table built
+  // on this thread (no lock, and a worker never waits on another).
+  thread_local std::shared_ptr<const Rotations> last;
+  thread_local int last_taps = 0;
+  thread_local double last_spacing_ns = 0.0;
+  if (last && last_taps == num_taps && last_spacing_ns == tap_spacing_ns) {
+    return last;
+  }
+  auto rot = std::make_shared<Rotations>();
+  const std::size_t table = static_cast<std::size_t>(num_taps) *
+                            static_cast<std::size_t>(kNumSubcarriers);
+  rot->re.resize(table);
+  rot->im.resize(table);
+  for (int l = 0; l < num_taps; ++l) {
+    const double delay_ns = l * tap_spacing_ns;
+    const std::size_t row = static_cast<std::size_t>(l) *
+                            static_cast<std::size_t>(kNumSubcarriers);
+    for (int i = 0; i < kNumSubcarriers; ++i) {
+      const double phase = -kTwoPi * subcarrier_offset_hz(i) * delay_ns * 1e-9;
+      rot->re[row + static_cast<std::size_t>(i)] = std::cos(phase);
+      rot->im[row + static_cast<std::size_t>(i)] = std::sin(phase);
+    }
+  }
+  last = std::move(rot);
+  last_taps = num_taps;
+  last_spacing_ns = tap_spacing_ns;
+  return last;
+}
+
 TappedDelayChannel::TappedDelayChannel(const Config& config, Rng& rng) {
   if (config.num_taps <= 0) throw std::invalid_argument("need at least one tap");
   // Rician K: power ratio of the LoS component to all scattered power.
@@ -83,27 +114,14 @@ TappedDelayChannel::TappedDelayChannel(const Config& config, Rng& rng) {
   los_amplitude_ = std::sqrt(los_power_);
 
   taps_.reserve(static_cast<std::size_t>(config.num_taps));
-  const std::size_t table =
-      static_cast<std::size_t>(config.num_taps) *
-      static_cast<std::size_t>(kNumSubcarriers);
-  rot_re_.resize(table);
-  rot_im_.resize(table);
+  rot_ = rotations_for(config.num_taps, tap_spacing_ns);
   for (int l = 0; l < config.num_taps; ++l) {
     const double power = scatter_power * raw[static_cast<std::size_t>(l)] / total;
-    Tap tap{
+    taps_.push_back(Tap{
         .power = power,
         .amplitude = std::sqrt(power),
-        .delay_ns = l * tap_spacing_ns,
         .field = SpatialTap(config.sinusoids_per_tap, config.env_doppler_hz, rng),
-    };
-    const std::size_t row = static_cast<std::size_t>(l) *
-                            static_cast<std::size_t>(kNumSubcarriers);
-    for (int i = 0; i < kNumSubcarriers; ++i) {
-      const double phase = -kTwoPi * subcarrier_offset_hz(i) * tap.delay_ns * 1e-9;
-      rot_re_[row + static_cast<std::size_t>(i)] = std::cos(phase);
-      rot_im_[row + static_cast<std::size_t>(i)] = std::sin(phase);
-    }
-    taps_.push_back(std::move(tap));
+    });
   }
   double peak_magnitude = los_amplitude_;
   for (const Tap& tap : taps_) {
@@ -138,8 +156,8 @@ void TappedDelayChannel::csi_into(Vec2 pos, Time t, CsiSnapshot& out) const {
     const double g_re = g.real();
     const double g_im = g.imag();
     const std::size_t row = l * static_cast<std::size_t>(kNumSubcarriers);
-    const double* rr = &rot_re_[row];
-    const double* ri = &rot_im_[row];
+    const double* rr = &rot_->re[row];
+    const double* ri = &rot_->im[row];
     for (int i = 0; i < kNumSubcarriers; ++i) {
       acc_re[i] += g_re * rr[i] - g_im * ri[i];
       acc_im[i] += g_re * ri[i] + g_im * rr[i];

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <complex>
+#include <memory>
 #include <vector>
 
 #include "channel/geometry.h"
@@ -123,7 +124,6 @@ class TappedDelayChannel {
   struct Tap {
     double power;      // linear, sums to (1 - los_power) over taps
     double amplitude;  // sqrt(power), hoisted out of every csi()/flat_gain()
-    double delay_ns;
     SpatialTap field;
   };
   std::vector<Tap> taps_;
@@ -135,9 +135,15 @@ class TappedDelayChannel {
   // to structure-of-arrays blocks: tap l's rotations occupy
   // [l * kNumSubcarriers, (l+1) * kNumSubcarriers) of each table. Separate
   // re/im arrays let csi_into()'s inner loop run as four independent
-  // real-lane multiply-accumulate streams.
-  std::vector<double> rot_re_;
-  std::vector<double> rot_im_;
+  // real-lane multiply-accumulate streams. The table depends on the tap
+  // delays alone, so channels built from one config share it.
+  struct Rotations {
+    std::vector<double> re;
+    std::vector<double> im;
+  };
+  std::shared_ptr<const Rotations> rot_;
+  [[nodiscard]] static std::shared_ptr<const Rotations> rotations_for(
+      int num_taps, double tap_spacing_ns);
 };
 
 /// Centre frequency offset of subcarrier index i (0..55), Hz.
