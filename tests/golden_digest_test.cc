@@ -11,12 +11,14 @@
 // drives, the Figure 17 three-client drive, a short 8-client x 32-AP drive,
 // the baseline system, an AP-crash drive with liveness, an AP zombie and
 // partition drive, a drive over a finite-rate batched backhaul, a
-// two-domain drive, and the parallel city at one and two workers.
+// two-domain drive with a controller crash under lossy links, an uplink
+// flood, and the parallel city at one and two workers.
 //
 // Regenerate (only for a deliberate behaviour change, in its own commit):
 //   build/tests/golden_digest_test --regenerate
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -29,7 +31,10 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "mobility/trajectory.h"
 #include "scenario/parallel_city.h"
+#include "scenario/wgtt_system.h"
+#include "transport/tcp.h"
 
 #ifndef WGTT_GOLDEN_DIGESTS
 #error "WGTT_GOLDEN_DIGESTS must name the committed digest file"
@@ -180,6 +185,31 @@ std::string domains2(std::uint64_t seed) {
   return drive_text(benchx::run_drive(cfg));
 }
 
+std::string domains2_faults(std::uint64_t seed) {
+  // Domain 1's controller crashes and restarts under lossy inter-controller
+  // and control links: adoption, retries, aborts, yields and forwarding.
+  DriveConfig cfg = drive(seed);
+  cfg.mph = 15.0;
+  cfg.udp_rate_mbps = 20.0;
+  cfg.num_domains = 2;
+  scenario::ControllerFaultScript crash;
+  crash.domain = 1;
+  crash.crash_at = Time::sec(3);
+  crash.restart_at = Time::sec(6);
+  cfg.controller_faults.push_back(crash);
+  cfg.inter_controller_loss_rate = 0.30;
+  cfg.control_loss_rate = 0.05;
+  return drive_text(benchx::run_drive(cfg));
+}
+
+std::string uplink_flood(std::uint64_t seed) {
+  DriveConfig cfg = drive(seed);
+  cfg.workload = Workload::kUdpUp;
+  cfg.mph = 15.0;
+  cfg.udp_rate_mbps = 120.0;
+  return drive_text(benchx::run_drive(cfg));
+}
+
 std::string parallel_city(std::uint64_t seed, int workers) {
   scenario::ParallelCityConfig cfg;
   cfg.corridors = 2;
@@ -218,6 +248,8 @@ const std::vector<Scenario>& scenarios() {
       // Appended, so the earlier entries keep their test indices.
       {"ap_zombie_partition", ap_zombie_partition},
       {"backhaul_batched", backhaul_batched},
+      {"domains2_faults", domains2_faults},
+      {"uplink_flood", uplink_flood},
   };
   return all;
 }
@@ -301,6 +333,71 @@ TEST(GoldenDigestFile, ParallelCityDigestIndependentOfWorkers) {
     const std::string tail = "/seed" + std::to_string(seed);
     EXPECT_EQ(golden.at("parallel_city_1w" + tail),
               golden.at("parallel_city_2w" + tail));
+  }
+}
+
+/// Counter keys and values of the `"counters"` object in a snapshot text.
+std::map<std::string, std::uint64_t> counters_of(const std::string& text) {
+  std::map<std::string, std::uint64_t> out;
+  const std::size_t begin = text.find("\"counters\": {");
+  if (begin == std::string::npos) return out;
+  const std::size_t end = text.find('}', begin);
+  std::istringstream in(text.substr(begin, end - begin));
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t open = line.find('"');
+    const std::size_t close = line.find("\": ", open + 1);
+    if (open == std::string::npos || close == std::string::npos) continue;
+    const std::string key = line.substr(open + 1, close - open - 1);
+    if (key == "counters") continue;
+    out[key] = std::stoull(line.substr(close + 3));
+  }
+  return out;
+}
+
+/// Every counter key the switching components register with every
+/// feature on: Controller (with liveness and two domains), WgttAp,
+/// WifiMac (AP and client side) and TcpSender.
+std::vector<std::string> component_counter_keys() {
+  scenario::WgttSystemConfig cfg;
+  cfg.controller.liveness_enabled = true;
+  cfg.num_domains = 2;
+  const mobility::StaticPosition parked({0.0, 0.0});
+  obs::MetricsRegistry registry;
+  scenario::WgttSystem sys(cfg);
+  sys.add_client(&parked);
+  sys.enable_metrics(registry);
+  transport::TcpSender::register_metrics(registry);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : counters_of(registry.to_json())) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(GoldenDigestFile, EveryComponentCounterIsExercised) {
+  // A key that reads 0 in every entry cannot tell a binding to the wrong
+  // field from a correct one, so each must move in at least one run.
+  const std::map<std::string, std::string> exempt = {
+      {"mac.enqueue_drops",
+       "the AP pump fills the MAC queue only up to hw_queue_capacity"},
+      {"client_mac.ba_injected",
+       "only AP MACs merge backhaul-forwarded block ACKs"},
+      {"domain.misrouted_dropped", "no seeded drive reaches it"},
+  };
+  std::map<std::string, std::uint64_t> max_value;
+  for (const Scenario& s : scenarios()) {
+    for (const std::uint64_t seed : kSeeds) {
+      for (const auto& [key, value] : counters_of(s.run(seed))) {
+        max_value[key] = std::max(max_value[key], value);
+      }
+    }
+  }
+  const std::vector<std::string> keys = component_counter_keys();
+  ASSERT_FALSE(keys.empty());
+  for (const std::string& key : keys) {
+    if (exempt.contains(key)) continue;
+    EXPECT_GT(max_value[key], 0u) << key << " reads 0 in every entry";
   }
 }
 
