@@ -29,7 +29,6 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
     auto it = client_of_radio_.find(from);
     if (it == client_of_radio_.end()) return;
     ++stats_.uplink_forwarded;
-    if (metrics_) metrics_->uplink_forwarded->inc();
     backhaul_.send(NodeId::ap(id_), controller_node_,
                    net::UplinkData{id_, pkt});
   };
@@ -57,31 +56,29 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
 }
 
 void WgttAp::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_.reset();
-    return;
-  }
+  counters_.release();
+  metrics_.reset();
+  if (registry == nullptr) return;
+  obs::MetricsRegistry& r = *registry;
+  counters_.bind(r, "ap.downlink_received", stats_.downlink_received);
+  counters_.bind(r, "ap.cyclic_overwrites", stats_.cyclic_overwrites);
+  counters_.bind(r, "ap.stale_dropped", stats_.stale_dropped);
+  counters_.bind(r, "ap.pump_enqueued", stats_.pump_enqueued);
+  counters_.bind(r, "ap.stops_handled", stats_.stops_handled);
+  counters_.bind(r, "ap.starts_handled", stats_.starts_handled);
+  counters_.bind(r, "ap.stop_duplicates", stats_.stop_duplicates);
+  counters_.bind(r, "ap.start_duplicates", stats_.start_duplicates);
+  counters_.bind(r, "ap.stale_control_ignored", stats_.stale_control_ignored);
+  counters_.bind(r, "ap.ba_forwarded", stats_.ba_forwarded);
+  counters_.bind(r, "ap.ba_forward_received", stats_.ba_forward_received);
+  counters_.bind(r, "ap.ba_forward_duplicate", stats_.ba_forward_duplicate);
+  counters_.bind(r, "ap.csi_reports_sent", stats_.csi_reports_sent);
+  counters_.bind(r, "ap.uplink_forwarded", stats_.uplink_forwarded);
   Metrics m;
-  m.downlink_received = &registry->counter("ap.downlink_received");
-  m.cyclic_overwrites = &registry->counter("ap.cyclic_overwrites");
-  m.stale_dropped = &registry->counter("ap.stale_dropped");
-  m.pump_enqueued = &registry->counter("ap.pump_enqueued");
-  m.stops_handled = &registry->counter("ap.stops_handled");
-  m.starts_handled = &registry->counter("ap.starts_handled");
-  m.stop_duplicates = &registry->counter("ap.stop_duplicates");
-  m.start_duplicates = &registry->counter("ap.start_duplicates");
-  m.stale_control_ignored = &registry->counter("ap.stale_control_ignored");
-  m.ba_forwarded = &registry->counter("ap.ba_forwarded");
-  m.ba_forward_received = &registry->counter("ap.ba_forward_received");
-  m.ba_forward_duplicate = &registry->counter("ap.ba_forward_duplicate");
-  m.csi_reports_sent = &registry->counter("ap.csi_reports_sent");
-  m.uplink_forwarded = &registry->counter("ap.uplink_forwarded");
-  m.cyclic_occupancy =
-      &registry->histogram("ap.cyclic_occupancy", 0.0, 2048.0, 128);
+  m.cyclic_occupancy = &r.histogram("ap.cyclic_occupancy", 0.0, 2048.0, 128);
   m.stop_to_start.set_sink(
-      &registry->histogram("ap.stop_to_start_ms", 0.0, 40.0, 160));
-  m.start_to_ack.set_sink(
-      &registry->histogram("ap.start_to_ack_ms", 0.0, 40.0, 160));
+      &r.histogram("ap.stop_to_start_ms", 0.0, 40.0, 160));
+  m.start_to_ack.set_sink(&r.histogram("ap.start_to_ack_ms", 0.0, 40.0, 160));
   metrics_ = std::move(m);
 }
 
@@ -238,10 +235,8 @@ void WgttAp::handle_downlink(net::DownlinkData&& msg) {
   } else {
     cs->queue.put(msg.index, std::move(msg.packet));
   }
+  stats_.cyclic_overwrites += cs->queue.overwrites() - overwrites_before;
   if (metrics_) {
-    metrics_->downlink_received->inc();
-    metrics_->cyclic_overwrites->inc(cs->queue.overwrites() -
-                                     overwrites_before);
     metrics_->cyclic_occupancy->observe(
         static_cast<double>(cs->queue.occupancy()));
   }
@@ -256,7 +251,6 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
     // A leftover of an already-superseded switch; acting on it would stop
     // a drain the controller believes is live.
     ++stats_.stale_control_ignored;
-    if (metrics_) metrics_->stale_control_ignored->inc();
     return;
   }
   if (ctl.have_epoch && msg.epoch == ctl.epoch && ctl.op == CtlOp::kStop) {
@@ -270,7 +264,6 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
     // but an inter-domain quench (the source stopping its drain under the
     // target's minted epoch, or an ownership yield) legitimately does.
     ++stats_.stop_duplicates;
-    if (metrics_) metrics_->stop_duplicates->inc();
     if (ctl.op == CtlOp::kStop && ctl.stop_first_unsent) {
       const Time proc = draw_delay(config_.control_processing_mean,
                                    config_.control_processing_std);
@@ -298,7 +291,6 @@ void WgttAp::handle_stop(const net::StopMsg& msg) {
   ctl.start_acked = false;
   ++stats_.stops_handled;
   if (metrics_) {
-    metrics_->stops_handled->inc();
     metrics_->stop_to_start.begin(net::index_of(msg.client), sched_.now());
   }
   // Control packets are prioritized but still cross the Click userspace.
@@ -345,7 +337,6 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
     // for a later switch: becoming "serving" again would duplicate the
     // client's serving AP.
     ++stats_.stale_control_ignored;
-    if (metrics_) metrics_->stale_control_ignored->inc();
     return;
   }
   if (ctl.have_epoch && msg.epoch == ctl.epoch) {
@@ -353,7 +344,6 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
     // only: re-applying the stale k would rewind next_index and
     // re-transmit everything already delivered since.
     ++stats_.start_duplicates;
-    if (metrics_) metrics_->start_duplicates->inc();
     if (ctl.op == CtlOp::kStart && ctl.start_acked) {
       const Time proc = draw_delay(config_.control_processing_mean,
                                    config_.control_processing_std);
@@ -373,7 +363,6 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
   ctl.stop_first_unsent.reset();
   ++stats_.starts_handled;
   if (metrics_) {
-    metrics_->starts_handled->inc();
     metrics_->start_to_ack.begin(net::index_of(msg.client), sched_.now());
   }
   const Time proc = draw_delay(config_.start_processing_mean,
@@ -437,11 +426,9 @@ void WgttAp::handle_ba_forward(const net::BlockAckForward& msg) {
   ClientState* cs = client_state(msg.client);
   if (cs == nullptr) return;
   ++stats_.ba_forward_received;
-  if (metrics_) metrics_->ba_forward_received->inc();
   if (ba_seen(*cs, msg.ba_uid)) {
     // Already merged (own NIC or another AP's forward): drop (§3.2.1).
     ++stats_.ba_forward_duplicate;
-    if (metrics_) metrics_->ba_forward_duplicate->inc();
     return;
   }
   mac::BaBitmap ba;
@@ -460,7 +447,6 @@ void WgttAp::on_heard(const mac::Frame& frame, bool decoded,
   // CSI extraction on every decoded client frame (§3.1.1).
   if (csi_reporting_) {
     ++stats_.csi_reports_sent;
-    if (metrics_) metrics_->csi_reports_sent->inc();
     backhaul_.send(net::NodeId::ap(id_), controller_node_,
                    net::CsiReport{id_, client, csi});
   }
@@ -480,7 +466,6 @@ void WgttAp::on_heard(const mac::Frame& frame, bool decoded,
     const std::optional<net::ApId> dest = ap_of_radio_(frame.to);
     if (!dest || *dest == id_) return;
     ++stats_.ba_forwarded;
-    if (metrics_) metrics_->ba_forwarded->inc();
     backhaul_.send(
         net::NodeId::ap(id_), net::NodeId::ap(*dest),
         net::BlockAckForward{client, id_, ba->start_seq, ba->bitmap, frame.tx_uid});
@@ -497,10 +482,9 @@ void WgttAp::pump(ClientState& cs) {
         // decrements the pool reference, no Packet is materialized.
         cs.queue.drop(cs.next_index);
         ++stats_.stale_dropped;
-        if (metrics_) metrics_->stale_dropped->inc();
       } else {
         mac_.enqueue(cs.radio, *cs.queue.take(cs.next_index), cs.next_index);
-        if (metrics_) metrics_->pump_enqueued->inc();
+        ++stats_.pump_enqueued;
       }
       cs.next_index = (cs.next_index + 1) & (CyclicQueue::kIndexSpace - 1);
       continue;

@@ -93,6 +93,12 @@ class WgttAp {
     std::uint64_t ba_forward_received = 0;
     std::uint64_t ba_forward_duplicate = 0;
     std::uint64_t stale_dropped = 0;
+    /// Packets the pump moved from the cyclic queues into the MAC.
+    std::uint64_t pump_enqueued = 0;
+    /// Downlink packets that overwrote an undrained cyclic-queue slot
+    /// (the ring lapped it). Kept here, not per queue: a crash wipes the
+    /// queues.
+    std::uint64_t cyclic_overwrites = 0;
     std::uint64_t heartbeats_answered = 0;
     /// AdoptAp messages that re-homed this AP to a different controller
     /// domain (controller failover or recovery).
@@ -182,10 +188,10 @@ class WgttAp {
   void set_controller_node(net::NodeId node) { controller_node_ = node; }
   [[nodiscard]] net::NodeId controller_node() const { return controller_node_; }
 
-  /// Registers and starts recording `ap.*` metrics (cyclic-queue depth and
-  /// overwrites, BA-forward traffic, the per-AP legs of the switch
-  /// protocol). Instruments are shared by name, so every AP aggregates into
-  /// the same `ap.*` series. nullptr detaches.
+  /// Binds the `ap.*` counter keys to stats() and registers the
+  /// cyclic-queue depth and per-AP switch-leg histograms (DESIGN.md §6.1).
+  /// Keys are shared by name, so every AP aggregates into the same `ap.*`
+  /// series. nullptr detaches, folding the counts into the registry.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -262,26 +268,14 @@ class WgttAp {
   std::unique_ptr<sim::Timer> pump_timer_;
 
   struct Metrics {
-    obs::Counter* downlink_received;
-    obs::Counter* cyclic_overwrites;  // ring lapped an undrained slot
-    obs::Counter* stale_dropped;
-    obs::Counter* pump_enqueued;
-    obs::Counter* stops_handled;
-    obs::Counter* starts_handled;
-    obs::Counter* stop_duplicates;
-    obs::Counter* start_duplicates;
-    obs::Counter* stale_control_ignored;
-    obs::Counter* ba_forwarded;
-    obs::Counter* ba_forward_received;
-    obs::Counter* ba_forward_duplicate;
-    obs::Counter* csi_reports_sent;
-    obs::Counter* uplink_forwarded;
     obs::Histogram* cyclic_occupancy;  // sampled per downlink arrival
     // The two AP-side legs of Table 1's switch-time breakdown.
     obs::SpanTracker stop_to_start;  // stop received -> start sent (old AP)
     obs::SpanTracker start_to_ack;   // start received -> ack sent (new AP)
   };
   std::optional<Metrics> metrics_;
+  // Last, so it folds the counts above before they are destroyed.
+  obs::CounterBindings counters_;
 };
 
 }  // namespace wgtt::ap

@@ -38,60 +38,59 @@ Controller::Controller(sim::Scheduler& sched, net::Backhaul& backhaul,
 }
 
 void Controller::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_.reset();
-    return;
-  }
+  counters_.release();
+  metrics_.reset();
+  if (registry == nullptr) return;
+  obs::MetricsRegistry& r = *registry;
+  counters_.bind(r, "controller.csi_reports", stats_.csi_reports);
+  counters_.bind(r, "controller.selection_evaluations",
+                 stats_.selection_evaluations);
+  counters_.bind(r, "controller.switches_initiated", stats_.switches_initiated);
+  counters_.bind(r, "controller.switches_completed", stats_.switches_completed);
+  counters_.bind(r, "controller.stop_retransmissions",
+                 stats_.stop_retransmissions);
+  counters_.bind(r, "controller.stale_acks_ignored", stats_.stale_acks_ignored);
+  counters_.bind(r, "controller.downlink_packets", stats_.downlink_packets);
+  counters_.bind(r, "controller.fanout_copies", stats_.downlink_fanout_copies);
+  counters_.bind(r, "controller.fanout_empty_drops", stats_.fanout_empty_drops);
+  counters_.bind(r, "controller.uplink_packets", stats_.uplink_packets);
+  counters_.bind(r, "controller.dedup_hits", stats_.uplink_duplicates_dropped);
+  counters_.bind(r, "controller.dedup_misses", stats_.dedup_misses);
   Metrics m;
-  m.csi_reports = &registry->counter("controller.csi_reports");
-  m.selection_evaluations =
-      &registry->counter("controller.selection_evaluations");
-  m.switches_initiated = &registry->counter("controller.switches_initiated");
-  m.switches_completed = &registry->counter("controller.switches_completed");
-  m.stop_retransmissions =
-      &registry->counter("controller.stop_retransmissions");
-  m.stale_acks_ignored = &registry->counter("controller.stale_acks_ignored");
-  m.downlink_packets = &registry->counter("controller.downlink_packets");
-  m.fanout_copies = &registry->counter("controller.fanout_copies");
-  m.fanout_empty_drops = &registry->counter("controller.fanout_empty_drops");
-  m.uplink_packets = &registry->counter("controller.uplink_packets");
-  m.dedup_hits = &registry->counter("controller.dedup_hits");
-  m.dedup_misses = &registry->counter("controller.dedup_misses");
-  m.dedup_table_size = &registry->gauge("controller.dedup_table_size");
+  m.dedup_table_size = &r.gauge("controller.dedup_table_size");
   // 0.25 ms buckets keep the Table-1 percentile estimate well inside the
   // 1 ms agreement bound with the exact trace-derived values.
-  m.switch_time_ms =
-      &registry->histogram("controller.switch_time_ms", 0.0, 60.0, 240);
+  m.switch_time_ms = &r.histogram("controller.switch_time_ms", 0.0, 60.0, 240);
   // Liveness instruments exist only when liveness does, so a fault-free
   // snapshot keeps the exact key set (and bytes) of a pre-liveness build.
   if (config_.liveness_enabled) {
-    m.ap_marked_dead = &registry->counter("controller.ap_marked_dead");
-    m.ap_readmitted = &registry->counter("controller.ap_readmitted");
-    m.forced_failovers = &registry->counter("controller.forced_failovers");
+    counters_.bind(r, "controller.ap_marked_dead", stats_.aps_marked_dead);
+    counters_.bind(r, "controller.ap_readmitted", stats_.aps_readmitted);
+    counters_.bind(r, "controller.forced_failovers", stats_.forced_failovers);
     m.heartbeat_rtt_ms =
-        &registry->histogram("controller.heartbeat_rtt_ms", 0.0, 5.0, 100);
+        &r.histogram("controller.heartbeat_rtt_ms", 0.0, 5.0, 100);
   }
   // Domain instruments exist only in multi-domain mode, for the same
   // key-set reason. Shared by name, so every domain controller aggregates
   // into one series.
   if (multi_domain()) {
-    m.handover_requests = &registry->counter("controller.handover_requests");
-    m.handovers_out = &registry->counter("domain.handovers_out");
-    m.handovers_in = &registry->counter("domain.handovers_in");
-    m.handover_retries = &registry->counter("domain.handover_retries");
-    m.handover_aborts = &registry->counter("domain.handover_aborts");
-    m.penalty_blocked = &registry->counter("domain.penalty_blocked");
-    m.csi_forwarded = &registry->counter("domain.csi_forwarded");
-    m.uplink_fwd = &registry->counter("domain.uplink_forwarded");
-    m.downlink_fwd = &registry->counter("domain.downlink_forwarded");
-    m.switch_acks_fwd = &registry->counter("domain.switch_acks_forwarded");
-    m.misrouted_dropped = &registry->counter("domain.misrouted_dropped");
-    m.peers_marked_dead = &registry->counter("domain.peers_marked_dead");
-    m.aps_adopted = &registry->counter("domain.aps_adopted");
-    m.clients_adopted = &registry->counter("domain.clients_adopted");
-    m.ownership_yields = &registry->counter("domain.ownership_yields");
-    m.handover_ms =
-        &registry->histogram("controller.handover_ms", 0.0, 120.0, 240);
+    counters_.bind(r, "controller.handover_requests", stats_.handover_requests);
+    counters_.bind(r, "domain.handovers_out", stats_.handovers_out);
+    counters_.bind(r, "domain.handovers_in", stats_.handovers_in);
+    counters_.bind(r, "domain.handover_retries", stats_.handover_retries);
+    counters_.bind(r, "domain.handover_aborts", stats_.handover_aborts);
+    counters_.bind(r, "domain.penalty_blocked", stats_.penalty_blocked);
+    counters_.bind(r, "domain.csi_forwarded", stats_.csi_forwarded);
+    counters_.bind(r, "domain.uplink_forwarded", stats_.uplink_forwarded);
+    counters_.bind(r, "domain.downlink_forwarded", stats_.downlink_forwarded);
+    counters_.bind(r, "domain.switch_acks_forwarded",
+                   stats_.switch_acks_forwarded);
+    counters_.bind(r, "domain.misrouted_dropped", stats_.misrouted_dropped);
+    counters_.bind(r, "domain.peers_marked_dead", stats_.peers_marked_dead);
+    counters_.bind(r, "domain.aps_adopted", stats_.aps_adopted);
+    counters_.bind(r, "domain.clients_adopted", stats_.clients_adopted);
+    counters_.bind(r, "domain.ownership_yields", stats_.ownership_yields);
+    m.handover_ms = &r.histogram("controller.handover_ms", 0.0, 120.0, 240);
   }
   metrics_ = m;
 }
@@ -116,7 +115,6 @@ void Controller::add_client(net::ClientId client) {
     ClientState* s = state(client);
     if (s == nullptr || !s->switch_pending) return;
     ++stats_.stop_retransmissions;
-    if (metrics_) metrics_->stop_retransmissions->inc();
     if (s->pending_forced) {
       // Forced failover: the old AP is dead, so there is no stop to
       // retransmit — resend the bootstrap start to the new AP.
@@ -149,9 +147,6 @@ void Controller::add_client(net::ClientId client) {
         return;
       }
       ++stats_.handover_retries;
-      if (metrics_ && metrics_->handover_retries) {
-        metrics_->handover_retries->inc();
-      }
       s->ho_timeout = s->ho_timeout * 2;  // exponential backoff
       send_handover_request(client, *s);
     }, sim::EventCategory::kControl);
@@ -259,9 +254,6 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
             process_csi(m.report, *cs);
           } else {
             ++stats_.misrouted_dropped;
-            if (metrics_ && metrics_->misrouted_dropped) {
-              metrics_->misrouted_dropped->inc();
-            }
           }
         } else if constexpr (std::is_same_v<T, net::UplinkForward>) {
           ClientState* cs = state(m.data.packet.client);
@@ -269,9 +261,6 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
             handle_uplink(std::move(m.data));
           } else {
             ++stats_.misrouted_dropped;
-            if (metrics_ && metrics_->misrouted_dropped) {
-              metrics_->misrouted_dropped->inc();
-            }
           }
         } else if constexpr (std::is_same_v<T, net::DownlinkForward>) {
           ClientState* cs = state(m.packet.client);
@@ -279,9 +268,6 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
             send_downlink(std::move(m.packet));
           } else {
             ++stats_.misrouted_dropped;
-            if (metrics_ && metrics_->misrouted_dropped) {
-              metrics_->misrouted_dropped->inc();
-            }
           }
         } else if constexpr (std::is_same_v<T, net::HandoverRequest>) {
           handle_handover_request(std::move(m));
@@ -311,7 +297,6 @@ void Controller::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
 
 void Controller::handle_csi(const net::CsiReport& report) {
   ++stats_.csi_reports;
-  if (metrics_) metrics_->csi_reports->inc();
   ClientState* cs = state(report.client);
   if (cs == nullptr) return;
   if (multi_domain() && !cs->owned) {
@@ -343,7 +328,7 @@ void Controller::maybe_switch(net::ClientId client) {
   ClientState& cs = *csp;
   if (cs.switch_pending) return;  // at most one outstanding switch
   if (cs.ho_pending) return;      // ... or one outstanding handover
-  if (metrics_) metrics_->selection_evaluations->inc();
+  ++stats_.selection_evaluations;
 
   const auto best = tracker_.best_ap(client, sched_.now(), eviction_mask());
   if (!best) return;
@@ -404,7 +389,6 @@ void Controller::bootstrap(net::ClientId client, net::ApId first_ap) {
   cs.pending_first_index = cs.next_index;
   ++cs.epoch;
   ++stats_.switches_initiated;
-  if (metrics_) metrics_->switches_initiated->inc();
   if (on_switch_initiated) {
     on_switch_initiated(client, std::nullopt, first_ap, sched_.now());
   }
@@ -423,7 +407,6 @@ void Controller::initiate_switch(net::ClientId client, net::ApId target) {
   cs.pending_since = sched_.now();
   ++cs.epoch;
   ++stats_.switches_initiated;
-  if (metrics_) metrics_->switches_initiated->inc();
   if (on_switch_initiated) {
     on_switch_initiated(client, cs.serving, target, sched_.now());
   }
@@ -448,15 +431,9 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
       net::SwitchAck fwd = msg;
       fwd.relayed = true;
       ++stats_.switch_acks_forwarded;
-      if (metrics_ && metrics_->switch_acks_fwd) {
-        metrics_->switch_acks_fwd->inc();
-      }
       backhaul_.send(self_node(), NodeId::controller(owner), fwd);
     } else {
       ++stats_.misrouted_dropped;
-      if (metrics_ && metrics_->misrouted_dropped) {
-        metrics_->misrouted_dropped->inc();
-      }
     }
     return;
   }
@@ -468,7 +445,6 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
   if (!cs.switch_pending || msg.from_ap != cs.pending_target ||
       msg.epoch != cs.epoch) {
     ++stats_.stale_acks_ignored;
-    if (metrics_) metrics_->stale_acks_ignored->inc();
     return;
   }
   cs.ack_timer->cancel();
@@ -479,7 +455,6 @@ void Controller::handle_switch_ack(const net::SwitchAck& msg) {
   cs.last_switch_completed = sched_.now();
   ++stats_.switches_completed;
   if (metrics_) {
-    metrics_->switches_completed->inc();
     metrics_->switch_time_ms->observe(
         (sched_.now() - cs.pending_since).to_millis());
   }
@@ -499,7 +474,6 @@ void Controller::send_downlink(net::Packet packet) {
     return;
   }
   ++stats_.downlink_packets;
-  if (metrics_) metrics_->downlink_packets->inc();
 
   const std::uint16_t index = cs.next_index;
   cs.next_index = (cs.next_index + 1) & 0x0fff;  // m = 12 bits
@@ -533,7 +507,6 @@ void Controller::send_downlink(net::Packet packet) {
     // point the client is effectively partitioned from the deployment and
     // upper layers (TCP, the operator's dashboards) deserve to know.
     ++stats_.fanout_empty_drops;
-    if (metrics_) metrics_->fanout_empty_drops->inc();
     if (on_fanout_empty) on_fanout_empty(packet.client, sched_.now());
     return;
   }
@@ -561,7 +534,6 @@ void Controller::send_downlink(net::Packet packet) {
                      net::DownlinkData{packet, index});
     }
   }
-  if (metrics_) metrics_->fanout_copies->inc(targets.size());
 }
 
 bool Controller::dedup_accept(const net::Packet& p) {
@@ -569,7 +541,7 @@ bool Controller::dedup_accept(const net::Packet& p) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(net::index_of(p.client)) << 16) | p.ip_id;
   if (dedup_set_.contains(key)) {
-    if (metrics_) metrics_->dedup_hits->inc();
+    ++stats_.uplink_duplicates_dropped;
     return false;
   }
   // Evict before inserting, with >=: the table never holds more than
@@ -582,8 +554,8 @@ bool Controller::dedup_accept(const net::Packet& p) {
   }
   dedup_set_.insert(key);
   dedup_fifo_.push_back(key);
+  ++stats_.dedup_misses;
   if (metrics_) {
-    metrics_->dedup_misses->inc();
     metrics_->dedup_table_size->set(static_cast<double>(dedup_set_.size()));
   }
   return true;
@@ -591,7 +563,6 @@ bool Controller::dedup_accept(const net::Packet& p) {
 
 void Controller::handle_uplink(net::UplinkData&& msg) {
   ++stats_.uplink_packets;
-  if (metrics_) metrics_->uplink_packets->inc();
   if (multi_domain()) {
     ClientState* cs = state(msg.packet.client);
     if (cs != nullptr && !cs->owned) {
@@ -601,11 +572,7 @@ void Controller::handle_uplink(net::UplinkData&& msg) {
       return;
     }
   }
-  if (!dedup_accept(msg.packet)) {
-    ++stats_.uplink_duplicates_dropped;
-    return;
-  }
-  if (on_uplink) on_uplink(msg.packet);
+  if (dedup_accept(msg.packet) && on_uplink) on_uplink(msg.packet);
 }
 
 // --- Multi-controller domains (DESIGN.md §12) ----------------------------
@@ -615,14 +582,10 @@ void Controller::forward_csi(const net::CsiReport& report, ClientState& cs) {
   if (owner < peers_.size() && owner != config_.domains.id &&
       peers_[owner].alive) {
     ++stats_.csi_forwarded;
-    if (metrics_ && metrics_->csi_forwarded) metrics_->csi_forwarded->inc();
     backhaul_.send(self_node(), NodeId::controller(owner),
                    net::CsiForward{config_.domains.id, report});
   } else {
     ++stats_.misrouted_dropped;
-    if (metrics_ && metrics_->misrouted_dropped) {
-      metrics_->misrouted_dropped->inc();
-    }
   }
 }
 
@@ -631,14 +594,10 @@ void Controller::forward_uplink(net::UplinkData&& msg, ClientState& cs) {
   if (owner < peers_.size() && owner != config_.domains.id &&
       peers_[owner].alive) {
     ++stats_.uplink_forwarded;
-    if (metrics_ && metrics_->uplink_fwd) metrics_->uplink_fwd->inc();
     backhaul_.send(self_node(), NodeId::controller(owner),
                    net::UplinkForward{config_.domains.id, std::move(msg)});
   } else {
     ++stats_.misrouted_dropped;
-    if (metrics_ && metrics_->misrouted_dropped) {
-      metrics_->misrouted_dropped->inc();
-    }
   }
 }
 
@@ -647,14 +606,10 @@ void Controller::forward_downlink(net::Packet&& packet, ClientState& cs) {
   if (owner < peers_.size() && owner != config_.domains.id &&
       peers_[owner].alive) {
     ++stats_.downlink_forwarded;
-    if (metrics_ && metrics_->downlink_fwd) metrics_->downlink_fwd->inc();
     backhaul_.send(self_node(), NodeId::controller(owner),
                    net::DownlinkForward{config_.domains.id, std::move(packet)});
   } else {
     ++stats_.misrouted_dropped;
-    if (metrics_ && metrics_->misrouted_dropped) {
-      metrics_->misrouted_dropped->inc();
-    }
   }
 }
 
@@ -665,9 +620,6 @@ void Controller::consider_handover(net::ClientId client, ClientState& cs,
     // Boundary flap damping: a recent handover involving this target (in
     // either direction) bars another attempt until the window expires.
     ++stats_.penalty_blocked;
-    if (metrics_ && metrics_->penalty_blocked) {
-      metrics_->penalty_blocked->inc();
-    }
     return;
   }
   if (target_domain >= peers_.size() || !peers_[target_domain].alive) return;
@@ -710,9 +662,6 @@ void Controller::initiate_handover(net::ClientId client, ClientState& cs,
   cs.ho_started = sched_.now();
   cs.ho_timeout = config_.domains.handover_timeout;
   ++stats_.handover_requests;
-  if (metrics_ && metrics_->handover_requests) {
-    metrics_->handover_requests->inc();
-  }
   send_handover_request(client, cs);
 }
 
@@ -743,9 +692,6 @@ void Controller::abort_handover(net::ClientId client, ClientState& cs) {
   penalty_.arm(client, cs.ho_target_domain,
                sched_.now() + config_.domains.penalty_window);
   ++stats_.handover_aborts;
-  if (metrics_ && metrics_->handover_aborts) {
-    metrics_->handover_aborts->inc();
-  }
 }
 
 std::vector<std::uint32_t> Controller::collect_dedup_seed(
@@ -827,7 +773,6 @@ void Controller::handle_handover_request(net::HandoverRequest&& msg) {
   cs.ho_acc_seq = msg.seq;
   cs.ho_acc_src = msg.src_domain;
   ++stats_.handovers_in;
-  if (metrics_ && metrics_->handovers_in) metrics_->handovers_in->inc();
   // Bar an immediate hand-back to the source: the client just crossed the
   // boundary toward us, and flapping straight back is the ping-pong the
   // penalty timer exists to damp.
@@ -870,7 +815,6 @@ void Controller::bootstrap_forced(net::ClientId client, ClientState& cs,
   cs.pending_since = sched_.now();
   cs.pending_first_index = cs.next_index;
   ++stats_.switches_initiated;
-  if (metrics_) metrics_->switches_initiated->inc();
   if (on_switch_initiated) {
     on_switch_initiated(client, std::nullopt, target, sched_.now());
   }
@@ -891,9 +835,6 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
     penalty_.arm(msg.client, cs.ho_target_domain,
                  sched_.now() + config_.domains.penalty_window);
     ++stats_.handover_aborts;
-    if (metrics_ && metrics_->handover_aborts) {
-      metrics_->handover_aborts->inc();
-    }
     return;
   }
   // Ownership released. Stop the old serving AP under the target's minted
@@ -911,11 +852,8 @@ void Controller::handle_handover_ack(const net::HandoverAck& msg) {
   cs.owned = false;
   cs.owner_domain = msg.from_domain;
   ++stats_.handovers_out;
-  if (metrics_) {
-    if (metrics_->handovers_out) metrics_->handovers_out->inc();
-    if (metrics_->handover_ms) {
-      metrics_->handover_ms->observe((sched_.now() - cs.ho_started).to_millis());
-    }
+  if (metrics_ && metrics_->handover_ms) {
+    metrics_->handover_ms->observe((sched_.now() - cs.ho_started).to_millis());
   }
   if (old_serving && *old_serving != cs.ho_target_ap) {
     backhaul_.send(self_node(), NodeId::ap(*old_serving),
@@ -963,9 +901,6 @@ void Controller::peer_dead(std::uint32_t domain) {
   ps.state_since = sched_.now();
   last_peer_transition_ = sched_.now();
   ++stats_.peers_marked_dead;
-  if (metrics_ && metrics_->peers_marked_dead) {
-    metrics_->peers_marked_dead->inc();
-  }
   // Handovers in flight toward the corpse can never complete: abort them
   // now instead of burning the whole retry budget.
   for (std::size_t ci = 0; ci < clients_.size(); ++ci) {
@@ -1034,7 +969,6 @@ void Controller::adopt_domain(std::uint32_t dead) {
                    net::AdoptAp{config_.domains.id});
     add_ap(ap);
     ++stats_.aps_adopted;
-    if (metrics_ && metrics_->aps_adopted) metrics_->aps_adopted->inc();
   }
   // The corpse's clients are picked up by the client sweep in
   // reevaluate_adoptions (the caller), keyed off the believed owner.
@@ -1059,9 +993,6 @@ void Controller::adopt_client(net::ClientId client, ClientState& cs) {
   if (cs.ho_timer) cs.ho_timer->cancel();
   cs.ho_pending = false;
   ++stats_.clients_adopted;
-  if (metrics_ && metrics_->clients_adopted) {
-    metrics_->clients_adopted->inc();
-  }
   if (on_ownership_changed) {
     on_ownership_changed(client, config_.domains.id);
   }
@@ -1158,9 +1089,6 @@ void Controller::handle_domain_sync(const net::DomainSync& msg) {
       if (e.epoch > cs.epoch ||
           (e.epoch == cs.epoch && msg.src_domain < me)) {
         ++stats_.ownership_yields;
-        if (metrics_ && metrics_->ownership_yields) {
-          metrics_->ownership_yields->inc();
-        }
         cs.ack_timer->cancel();
         cs.switch_pending = false;
         cs.pending_forced = false;
@@ -1383,7 +1311,6 @@ void Controller::mark_dead(net::ApId ap) {
   ls.state_since = sched_.now();
   ap_evicted_[idx] = true;
   ++stats_.aps_marked_dead;
-  if (metrics_ && metrics_->ap_marked_dead) metrics_->ap_marked_dead->inc();
   // Any client whose stream touches the dead AP — serving through it, or
   // mid-switch into or out of it — is failed over immediately rather than
   // waiting out retransmissions toward a corpse.
@@ -1459,10 +1386,6 @@ void Controller::force_failover(net::ClientId client) {
       static_cast<std::uint16_t>((cs.next_index - replay) & 0x0fff);
   ++stats_.switches_initiated;
   ++stats_.forced_failovers;
-  if (metrics_) {
-    metrics_->switches_initiated->inc();
-    if (metrics_->forced_failovers) metrics_->forced_failovers->inc();
-  }
   if (on_switch_initiated) {
     on_switch_initiated(client, cs.serving, *target, sched_.now());
   }
@@ -1479,7 +1402,6 @@ void Controller::readmit(net::ApId ap) {
   ls.state_since = sched_.now();
   ap_evicted_[idx] = false;
   ++stats_.aps_readmitted;
-  if (metrics_ && metrics_->ap_readmitted) metrics_->ap_readmitted->inc();
   for (net::ClientId client : ls.orphaned) quench_orphan(ap, client);
   ls.orphaned.clear();
 }

@@ -146,7 +146,10 @@ class Controller {
     std::uint64_t downlink_packets = 0;
     std::uint64_t downlink_fanout_copies = 0;
     std::uint64_t uplink_packets = 0;
-    std::uint64_t uplink_duplicates_dropped = 0;
+    std::uint64_t uplink_duplicates_dropped = 0;  // de-dup table hits
+    std::uint64_t dedup_misses = 0;  // new uplink keys the table accepted
+    /// Selection passes that could switch (no switch or handover pending).
+    std::uint64_t selection_evaluations = 0;
     std::uint64_t switches_initiated = 0;
     std::uint64_t switches_completed = 0;
     std::uint64_t stop_retransmissions = 0;
@@ -347,10 +350,10 @@ class Controller {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] EsnrTracker& tracker() { return tracker_; }
 
-  /// Registers and starts recording `controller.*` metrics (selection
-  /// decisions, de-dup hit/miss and table occupancy, switch-phase timing).
-  /// nullptr detaches. Instrument pointers resolve once, here — the data
-  /// path only pays a null check plus relaxed increments.
+  /// Binds the `controller.*` (and, with liveness or domains on, the
+  /// liveness and `domain.*`) counter keys to stats() and registers the
+  /// de-dup table gauge and switch-phase histograms (DESIGN.md §6.1).
+  /// nullptr detaches, folding the counts into the registry.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -540,46 +543,17 @@ class Controller {
   Stats stats_;
 
   struct Metrics {
-    obs::Counter* csi_reports;
-    obs::Counter* selection_evaluations;
-    obs::Counter* switches_initiated;
-    obs::Counter* switches_completed;
-    obs::Counter* stop_retransmissions;
-    obs::Counter* stale_acks_ignored;
-    obs::Counter* downlink_packets;
-    obs::Counter* fanout_copies;
-    obs::Counter* fanout_empty_drops;
-    obs::Counter* uplink_packets;
-    obs::Counter* dedup_hits;    // duplicate found in the table and dropped
-    obs::Counter* dedup_misses;  // new key accepted
     obs::Gauge* dedup_table_size;
     obs::Histogram* switch_time_ms;  // stop sent -> ack received (Table 1)
-    // Liveness instruments; registered (and non-null) only when liveness is
-    // enabled so fault-free snapshots keep the identical key set.
-    obs::Counter* ap_marked_dead = nullptr;
-    obs::Counter* ap_readmitted = nullptr;
-    obs::Counter* forced_failovers = nullptr;
+    // Registered (non-null) only when liveness is enabled, so fault-free
+    // snapshots keep the identical key set.
     obs::Histogram* heartbeat_rtt_ms = nullptr;
-    // Multi-domain instruments; registered only in multi-domain mode so
-    // single-domain snapshots keep the identical key set.
-    obs::Counter* handover_requests = nullptr;
-    obs::Counter* handovers_out = nullptr;
-    obs::Counter* handovers_in = nullptr;
-    obs::Counter* handover_retries = nullptr;
-    obs::Counter* handover_aborts = nullptr;
-    obs::Counter* penalty_blocked = nullptr;
-    obs::Counter* csi_forwarded = nullptr;
-    obs::Counter* uplink_fwd = nullptr;
-    obs::Counter* downlink_fwd = nullptr;
-    obs::Counter* switch_acks_fwd = nullptr;
-    obs::Counter* misrouted_dropped = nullptr;
-    obs::Counter* peers_marked_dead = nullptr;
-    obs::Counter* aps_adopted = nullptr;
-    obs::Counter* clients_adopted = nullptr;
-    obs::Counter* ownership_yields = nullptr;
+    // Registered only in multi-domain mode, for the same reason.
     obs::Histogram* handover_ms = nullptr;
   };
   std::optional<Metrics> metrics_;
+  // Last, so it folds the counts above before they are destroyed.
+  obs::CounterBindings counters_;
 };
 
 }  // namespace wgtt::core

@@ -25,17 +25,17 @@ void TcpSender::register_metrics(obs::MetricsRegistry& registry) {
 }
 
 void TcpSender::set_metrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_.reset();
-    return;
-  }
+  counters_.release();
+  metrics_.reset();
+  if (registry == nullptr) return;
+  obs::MetricsRegistry& r = *registry;
+  counters_.bind(r, "tcp.segments_sent", stats_.segments_sent);
+  counters_.bind(r, "tcp.retransmissions", stats_.retransmissions);
+  counters_.bind(r, "tcp.fast_retransmits", stats_.fast_retransmits);
+  counters_.bind(r, "tcp.rtos", stats_.rtos);
   Metrics m;
-  m.segments_sent = &registry->counter("tcp.segments_sent");
-  m.retransmissions = &registry->counter("tcp.retransmissions");
-  m.fast_retransmits = &registry->counter("tcp.fast_retransmits");
-  m.rtos = &registry->counter("tcp.rtos");
-  m.cwnd_segments = &registry->gauge("tcp.cwnd_segments");
-  m.rtt_ms = &registry->histogram("tcp.rtt_ms", 0.0, 500.0, 250);
+  m.cwnd_segments = &r.gauge("tcp.cwnd_segments");
+  m.rtt_ms = &r.histogram("tcp.rtt_ms", 0.0, 500.0, 250);
   metrics_ = m;
 }
 
@@ -79,10 +79,6 @@ void TcpSender::send_segment(std::uint64_t seq, bool is_retransmission) {
 
   ++stats_.segments_sent;
   if (is_retransmission) ++stats_.retransmissions;
-  if (metrics_) {
-    metrics_->segments_sent->inc();
-    if (is_retransmission) metrics_->retransmissions->inc();
-  }
   send_(std::move(p));
 }
 
@@ -177,7 +173,6 @@ void TcpSender::enter_fast_recovery() {
   in_recovery_ = true;
   recover_ = snd_nxt_;
   ++stats_.fast_retransmits;
-  if (metrics_) metrics_->fast_retransmits->inc();
   send_segment(snd_una_, true);
   arm_rto();
 }
@@ -186,7 +181,6 @@ void TcpSender::on_rto() {
   if (!alive_) return;
   if (snd_una_ >= snd_nxt_) return;  // nothing outstanding
   ++stats_.rtos;
-  if (metrics_) metrics_->rtos->inc();
   ++consecutive_rtos_;
   if (consecutive_rtos_ > config_.max_consecutive_rtos) {
     alive_ = false;

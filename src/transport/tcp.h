@@ -73,8 +73,9 @@ class TcpSender {
   /// metrics snapshot carries the keys even when no TCP flow ever runs
   /// (e.g. a UDP-workload drive).
   static void register_metrics(obs::MetricsRegistry& registry);
-  /// Starts recording `tcp.*` metrics for this flow (all flows aggregate
-  /// into the same series). nullptr detaches.
+  /// Binds the `tcp.*` counter keys to stats() and registers the cwnd
+  /// gauge and RTT histogram for this flow (all flows aggregate into the
+  /// same series). nullptr detaches, folding the counts into the registry.
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
@@ -114,14 +115,12 @@ class TcpSender {
   Stats stats_;
 
   struct Metrics {
-    obs::Counter* segments_sent;
-    obs::Counter* retransmissions;
-    obs::Counter* fast_retransmits;
-    obs::Counter* rtos;
     obs::Gauge* cwnd_segments;
     obs::Histogram* rtt_ms;  // per-sample, from the echoed timestamp
   };
   std::optional<Metrics> metrics_;
+  // Last, so it folds the counts above before they are destroyed.
+  obs::CounterBindings counters_;
 };
 
 class TcpReceiver {
