@@ -151,6 +151,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
     if (cfg.use_spatial_index) scfg.spatial.use_index = *cfg.use_spatial_index;
     scfg.controller.bounded_fallback = cfg.bounded_fallback;
     scfg.use_fanout_pool = cfg.fanout_pool;
+    scfg.channel_reuse = cfg.channel_reuse;
     if (cfg.backhaul_link_rate_mbps) {
       scfg.backhaul.link_rate_mbps = *cfg.backhaul_link_rate_mbps;
     }
@@ -571,6 +572,10 @@ DriveResult run_drive(const DriveConfig& cfg) {
   if (tracer && !cfg.trace_csv_path.empty()) {
     std::ofstream out(cfg.trace_csv_path);
     if (out) tracer->write_csv(out);
+    if (result.metrics) {
+      result.metrics->gauge("trace.events_dropped")
+          .set(static_cast<double>(tracer->dropped()));
+    }
   }
   if (wgtt && !postmortem_dir.empty() && !invariants.ok()) {
     trace::write_postmortem(postmortem_dir, *wgtt, invariants, tracer.get(),

@@ -75,6 +75,9 @@ struct DriveConfig {
   /// On by default (byte-identical either way); the equivalence tests force
   /// it both ways.
   bool fanout_pool = true;
+  /// WgttSystemConfig::channel_reuse (paper §7): AP i on channel i mod N.
+  /// 1 = the single-channel deployment. WGTT system only.
+  int channel_reuse = 1;
 
   // Knobs (paper parameters / ablations).
   std::optional<Time> selection_window;  // W (Figure 21)
@@ -149,7 +152,9 @@ struct DriveConfig {
   Time timeline_tick = Time::ms(100);
   /// Attach a trace::Tracer and write its retained ring here as CSV
   /// ("" = none). Attaching only chains observation hooks: no scheduler
-  /// events, no RNG draws — byte-identity is preserved.
+  /// events, no RNG draws — byte-identity is preserved. A metrics snapshot
+  /// of such a run also carries the `trace.events_dropped` gauge (events
+  /// the bounded ring lost).
   std::string trace_csv_path;
   /// Dump a trace::write_postmortem bundle into this directory when
   /// check_invariants reports violations at end of run. The
