@@ -175,11 +175,6 @@ CsiSnapshot TappedDelayChannel::csi(Vec2 pos, Time t) const {
   return snap;
 }
 
-void TappedDelayChannel::csi_batch(const Vec2* pos, const Time* t,
-                                   std::size_t n, CsiSnapshot* out) const {
-  for (std::size_t i = 0; i < n; ++i) csi_into(pos[i], t[i], out[i]);
-}
-
 std::complex<double> TappedDelayChannel::flat_gain(Vec2 pos, Time t) const {
   std::complex<double> sum =
       los_amplitude_ *

@@ -93,21 +93,14 @@ class TappedDelayChannel {
   /// unit average power (large-scale effects are applied by LinkChannel).
   [[nodiscard]] CsiSnapshot csi(Vec2 pos, Time t) const;
 
-  /// Same evaluation written into a caller-provided snapshot: the batched
-  /// SIMD-friendly kernel (DESIGN.md §11.6). All taps × 56 subcarriers are
+  /// Same evaluation written into a caller-provided snapshot: the
+  /// SIMD-friendly kernel csi() runs (DESIGN.md §11.6). All taps × 56 subcarriers are
   /// accumulated in separate real/imaginary lanes over the SoA rotation
   /// tables, so the complex multiply-accumulates auto-vectorize across
   /// subcarriers without -ffast-math; the per-tap operand values and the
   /// tap-order accumulation are unchanged, so the result is bit-identical
   /// to csi() before the restructure (channel_test locks this).
   void csi_into(Vec2 pos, Time t, CsiSnapshot& out) const;
-
-  /// Evaluates `n` (position, time) samples in one call — the lazy-link
-  /// sampling shape: one (AP, client) channel drawn at many points along a
-  /// drive. The rotation/component tables stay hot across iterations;
-  /// out[i] is bit-identical to csi(pos[i], t[i]).
-  void csi_batch(const Vec2* pos, const Time* t, std::size_t n,
-                 CsiSnapshot* out) const;
 
   /// Scalar (flat-fading) gain: tap sum without frequency selectivity.
   [[nodiscard]] std::complex<double> flat_gain(Vec2 pos, Time t) const;

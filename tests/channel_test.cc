@@ -391,8 +391,8 @@ TEST(TappedDelayTest, BitIdenticalToReferenceFormula) {
   }
 }
 
-// The batched kernel contract (DESIGN.md §11.6): csi_into/csi_batch are
-// the same evaluation as csi(), lane-restructured but never reassociated —
+// The lane-split kernel contract (DESIGN.md §11.6): csi_into() is the
+// same evaluation as csi(), lane-restructured but never reassociated —
 // every sample is bit-identical, so there is no accuracy knob to document.
 TEST(TappedDelayTest, BatchMatchesScalarBitwise) {
   const TappedDelayChannel::Config cfg;
@@ -400,35 +400,21 @@ TEST(TappedDelayTest, BatchMatchesScalarBitwise) {
   TappedDelayChannel ch(cfg, rng);
 
   constexpr std::size_t kSamples = 300;
-  std::vector<Vec2> pos;
-  std::vector<Time> when;
+  // csi_into over one caller-held snapshot: same path, no fresh object.
+  CsiSnapshot reused;
   for (std::size_t s = 0; s < kSamples; ++s) {
     // A drive-like sweep: monotone x (the lazy-link sampling shape) with
     // lane wobble, millisecond-scale time steps.
-    pos.push_back({static_cast<double>(s) * 0.067,
-                   (s % 2 == 0 ? 0.0 : -3.5)});
-    when.push_back(Time::us(s * 913));
-  }
-  std::vector<CsiSnapshot> batch(kSamples);
-  ch.csi_batch(pos.data(), when.data(), kSamples, batch.data());
-
-  for (std::size_t s = 0; s < kSamples; ++s) {
-    const CsiSnapshot one = ch.csi(pos[s], when[s]);
-    ASSERT_EQ(batch[s].when, one.when) << "sample " << s;
+    const Vec2 pos{static_cast<double>(s) * 0.067, (s % 2 == 0 ? 0.0 : -3.5)};
+    const Time when = Time::us(s * 913);
+    ch.csi_into(pos, when, reused);
+    const CsiSnapshot one = ch.csi(pos, when);
+    ASSERT_EQ(reused.when, one.when) << "sample " << s;
     for (std::size_t i = 0; i < one.gains.size(); ++i) {
-      ASSERT_EQ(batch[s].gains[i].real(), one.gains[i].real())
+      ASSERT_EQ(reused.gains[i].real(), one.gains[i].real())
           << "sample " << s << " sc " << i;
-      ASSERT_EQ(batch[s].gains[i].imag(), one.gains[i].imag())
+      ASSERT_EQ(reused.gains[i].imag(), one.gains[i].imag())
           << "sample " << s << " sc " << i;
-    }
-  }
-
-  // csi_into over a caller-held snapshot: same path, no fresh object.
-  CsiSnapshot reused;
-  for (std::size_t s = 0; s < kSamples; s += 17) {
-    ch.csi_into(pos[s], when[s], reused);
-    for (std::size_t i = 0; i < reused.gains.size(); ++i) {
-      ASSERT_EQ(reused.gains[i], batch[s].gains[i]) << "sample " << s;
     }
   }
 }
