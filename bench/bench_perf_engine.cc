@@ -478,7 +478,7 @@ int main(int argc, char** argv) {
 
     // The enforced overhead bound is measured directly: one loop iteration
     // below does exactly what the profiled step() adds per event (one
-    // steady_clock read + EventProfiler::record), and the cost is compared
+    // EventProfiler::now() read + record_ticks), and the cost is compared
     // against the profiled drive's mean event duration. The end-to-end
     // events/sec off-vs-on delta is printed for context but NOT enforced —
     // on a busy single-core CI box its run-to-run variance (easily 10-20%)
@@ -486,14 +486,11 @@ int main(int argc, char** argv) {
     sim::EventProfiler probe;
     const int cal_iters = opts.smoke ? 500'000 : 2'000'000;
     auto cal_t0 = std::chrono::steady_clock::now();
-    auto cal_prev = cal_t0;
+    std::uint64_t cal_prev = probe.now();
     for (int i = 0; i < cal_iters; ++i) {
-      const auto now = std::chrono::steady_clock::now();
-      probe.record(sim::EventCategory::kOther,
-                   static_cast<std::uint64_t>(
-                       std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           now - cal_prev)
-                           .count()));
+      const std::uint64_t now = probe.now();
+      probe.record_ticks(sim::EventCategory::kOther,
+                         now > cal_prev ? now - cal_prev : 0);
       cal_prev = now;
     }
     const double cost_ns = seconds_since(cal_t0) / cal_iters * 1e9;

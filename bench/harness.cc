@@ -479,6 +479,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
   const auto add_rx_counts = [&result](const mac::WifiMac& m) {
     result.rx_decided += m.receptions_decided();
     result.rx_ruled_out += m.receptions_ruled_out();
+    result.rx_bounded += m.receptions_bounded();
   };
   if (wgtt) {
     for (int d = 0; d < wgtt->num_domains(); ++d) {

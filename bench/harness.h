@@ -185,10 +185,12 @@ struct DriveResult {
   std::vector<double> bitrate_mbps_samples;  // per-A-MPDU PHY rate samples
   std::uint64_t ba_collided = 0;   // BA frames that collided at the client
   std::uint64_t ba_heard = 0;      // BA frames heard at the client
-  /// Receptions that reached their decode draws at any radio, and those
-  /// decided as lost from the SNR ceiling alone (no channel sample).
+  /// Receptions that reached their decode draws at any radio, those
+  /// decided as lost from the SNR ceiling alone (no channel sample), and
+  /// those decided from the sampled CSI's ESNR bounds (no ESNR).
   std::uint64_t rx_decided = 0;
   std::uint64_t rx_ruled_out = 0;
+  std::uint64_t rx_bounded = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t mpdus_delivered = 0;
   std::uint64_t delivered_via_forwarded_ba = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -23,6 +22,16 @@ void delivery_probabilities(double esnr_db, phy::Mcs mcs,
                       ? out.back()
                       : phy::mpdu_delivery_probability(esnr_db, mcs, bytes[i]));
   }
+}
+
+/// True if every uniform is at or above its draw's upper probability bound,
+/// with a relative margin for the rounding of p.
+bool every_draw_fails(const std::vector<double>& u,
+                      const std::vector<double>& p_hi) {
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    if (u[i] < p_hi[i] * (1.0 + 1e-9)) return false;
+  }
+  return true;
 }
 }  // namespace
 
@@ -400,48 +409,81 @@ void WifiMac::send_block_ack(RadioId to, const BaBitmap& ba,
 
 bool WifiMac::decide_decodes(RadioId from, phy::Mcs mcs,
                              channel::CsiMeasurement& csi) {
-  // Bound-first decode (DESIGN.md §8). Every exact probability p is at
-  // most p_hi, its value at the ESNR ceiling, and above 0 (ESNR never falls
-  // below the -30 dB floor). When every p_hi < 1 - 1e-9, Rng::chance would
-  // make exactly one uniform draw per MPDU, so the draws can be made up
-  // front; if each fails its p_hi, each fails its p, and nothing reads the
-  // CSI. Otherwise the draws run as Rng::chance would make them.
+  // Bound-first decode (DESIGN.md §8). Every exact probability p lies
+  // between its values at a lower and an upper bound on the ESNR, and is
+  // above 0 (ESNR never falls below the -30 dB floor). When every
+  // p_hi < 1 - 1e-9, Rng::chance would make exactly one uniform draw per
+  // MPDU, so the draws can be made up front; a draw below p_lo decodes and
+  // one at or above p_hi fails, whatever the exact ESNR. First the link's
+  // SNR ceiling: if it fails every draw, nothing reads the CSI. Then the
+  // measured CSI's own bounds; only a draw between them needs the ESNR.
   const phy::Modulation modulation = phy::mcs_info(mcs).modulation;
-  const double ceiling =
-      ceiling_ ? phy::esnr_ceiling_db(modulation, ceiling_(from))
-               : std::numeric_limits<double>::infinity();
-  bool one_draw_each =
-      std::isfinite(ceiling) &&
+  const bool positive =
       std::all_of(draw_bytes_.begin(), draw_bytes_.end(), [](std::size_t b) {
         return b <= phy::kMaxPositivePsduBytes;
       });
-  if (one_draw_each) {
+  // Fills draw_p_ with p at `ceiling` and, if every draw then takes exactly
+  // one uniform, makes them into draw_u_.
+  const auto draw_up_front = [&](double ceiling) {
+    if (!positive || !std::isfinite(ceiling)) return false;
     delivery_probabilities(ceiling, mcs, draw_bytes_, draw_p_);
-    one_draw_each = std::all_of(draw_p_.begin(), draw_p_.end(),
-                                [](double p_hi) { return p_hi < 1.0 - 1e-9; });
-  }
-  draw_u_.clear();
-  if (one_draw_each) {
-    bool hopeless = true;
-    for (const double p_hi : draw_p_) {
-      draw_u_.push_back(rng_.uniform());
-      if (draw_u_.back() < p_hi * (1.0 + 1e-9)) hopeless = false;
-    }
-    if (hopeless) {
-      ++rx_ruled_out_;
+    if (!std::all_of(draw_p_.begin(), draw_p_.end(),
+                     [](double p_hi) { return p_hi < 1.0 - 1e-9; })) {
       return false;
     }
+    draw_u_.clear();
+    for (std::size_t i = 0; i < draw_p_.size(); ++i) {
+      draw_u_.push_back(rng_.uniform());
+    }
+    return true;
+  };
+  bool drawn = ceiling_ && draw_up_front(phy::esnr_ceiling_db(
+                               modulation, ceiling_(from)));
+  if (drawn && every_draw_fails(draw_u_, draw_p_)) {
+    ++rx_ruled_out_;
+    return false;
   }
 
   csi = sampler_(from);
+  const auto [lowest, highest] = std::minmax_element(
+      csi.subcarrier_snr_db.begin(), csi.subcarrier_snr_db.end());
+  const double ceiling = phy::esnr_ceiling_db(modulation, *highest);
+  if (drawn) {
+    // The measured ceiling is the tighter one, when finite.
+    if (std::isfinite(ceiling)) {
+      delivery_probabilities(ceiling, mcs, draw_bytes_, draw_p_);
+    }
+  } else {
+    drawn = draw_up_front(ceiling);
+  }
+  draw_ok_.clear();
+  if (drawn) {
+    // ESNR >= the weakest subcarrier (its BER is the largest), or the 45 dB
+    // clamp, or the -30 dB floor.
+    const double floor_db =
+        std::max(std::min(*lowest, 45.0), phy::kEsnrFloorDb) - 1e-3;
+    delivery_probabilities(floor_db, mcs, draw_bytes_, draw_p_lo_);
+    bool any = false;
+    bool bounded = true;
+    for (std::size_t i = 0; i < draw_u_.size() && bounded; ++i) {
+      const bool ok = draw_u_[i] < draw_p_lo_[i] * (1.0 - 1e-9);
+      bounded = ok || draw_u_[i] >= draw_p_[i] * (1.0 + 1e-9);
+      draw_ok_.push_back(ok);
+      any = any || ok;
+    }
+    if (bounded) {
+      ++rx_bounded_;
+      return any;
+    }
+    draw_ok_.clear();
+  }
+
   delivery_probabilities(
       phy::effective_snr_db(csi.subcarrier_snr_db, modulation), mcs,
       draw_bytes_, draw_p_);
-  draw_ok_.clear();
   bool any = false;
   for (std::size_t i = 0; i < draw_p_.size(); ++i) {
-    const bool ok =
-        one_draw_each ? draw_u_[i] < draw_p_[i] : rng_.chance(draw_p_[i]);
+    const bool ok = drawn ? draw_u_[i] < draw_p_[i] : rng_.chance(draw_p_[i]);
     draw_ok_.push_back(ok);
     any = any || ok;
   }

@@ -156,6 +156,9 @@ class WifiMac {
   [[nodiscard]] std::uint64_t receptions_ruled_out() const {
     return rx_ruled_out_;
   }
+  /// Sampled receptions whose draws the measured CSI's ESNR bounds decided,
+  /// with no ESNR computed.
+  [[nodiscard]] std::uint64_t receptions_bounded() const { return rx_bounded_; }
 
   /// Binds the `<component>.*` counter keys (A-MPDUs, retransmissions, BA
   /// merges/collisions) to total_stats() and the BA counts above, and
@@ -222,7 +225,8 @@ class WifiMac {
   void process_ba(RadioId from, const BaBitmap& ba, bool forwarded);
   void handle_rx(const Frame& frame, const Medium::RxContext& ctx);
   /// Makes the decode draws planned in draw_bytes_ (outcomes in draw_ok_)
-  /// and samples `csi`, unless the SNR ceiling rules out every draw first.
+  /// and samples `csi`, unless the SNR ceiling rules out every draw first;
+  /// computes the ESNR only if the sample's bounds leave a draw undecided.
   /// True if any draw decodes.
   [[nodiscard]] bool decide_decodes(RadioId from, phy::Mcs mcs,
                                     channel::CsiMeasurement& csi);
@@ -241,9 +245,11 @@ class WifiMac {
   CeilingFn ceiling_;
   std::function<bool(RadioId)> interest_;
   // handle_rx's buffers, reused across receptions: the PSDU length of each
-  // decode draw, its probability or uniform, and its outcome.
+  // decode draw, its probability (or its bounds) and uniform, and its
+  // outcome.
   std::vector<std::size_t> draw_bytes_;
   std::vector<double> draw_p_;
+  std::vector<double> draw_p_lo_;
   std::vector<double> draw_u_;
   std::vector<bool> draw_ok_;
   std::vector<std::uint16_t> decoded_seqs_;
@@ -274,6 +280,7 @@ class WifiMac {
   std::uint64_t ba_injected_ = 0;  // backhaul-forwarded BA merges (§3.2.1)
   std::uint64_t rx_decided_ = 0;
   std::uint64_t rx_ruled_out_ = 0;
+  std::uint64_t rx_bounded_ = 0;
 
   struct Metrics {
     obs::Histogram* ampdu_mpdus;     // MPDUs per A-MPDU attempt

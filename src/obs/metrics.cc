@@ -87,15 +87,26 @@ void Histogram::observe(double x) {
   bucket_for(x).fetch_add(1, std::memory_order_relaxed);
 }
 
-void Histogram::observe_exclusive(double x) {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  const std::uint64_t before = count_.load(kRelaxed);
-  count_.store(before + 1, kRelaxed);
-  sum_.store(sum_.load(kRelaxed) + x, kRelaxed);
-  if (before == 0 || x < min_.load(kRelaxed)) min_.store(x, kRelaxed);
-  if (before == 0 || x > max_.load(kRelaxed)) max_.store(x, kRelaxed);
-  std::atomic<std::uint64_t>& bucket = bucket_for(x);
-  bucket.store(bucket.load(kRelaxed) + 1, kRelaxed);
+void Histogram::add_bucketed(std::span<const std::uint64_t> bucket_counts,
+                             std::uint64_t overflow, double sum, double min,
+                             double max) {
+  if (bucket_counts.size() != buckets_.size()) return;
+  std::uint64_t n = overflow;
+  for (const std::uint64_t c : bucket_counts) n += c;
+  if (n == 0) return;
+  const std::uint64_t before = count_.fetch_add(n, std::memory_order_relaxed);
+  atomic_add(sum_, sum);
+  if (before == 0) {
+    min_.store(min, std::memory_order_relaxed);
+    max_.store(max, std::memory_order_relaxed);
+  } else {
+    atomic_min(min_, min);
+    atomic_max(max_, max);
+  }
+  overflow_.fetch_add(overflow, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
+  }
 }
 
 double Histogram::min() const {

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,10 +86,12 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t num_buckets);
 
   void observe(double x);
-  /// observe() for a caller that is this histogram's only writer: the same
-  /// result from plain relaxed loads and stores, without the atomic
-  /// read-modify-writes. Concurrent readers still see whole values.
-  void observe_exclusive(double x);
+  /// Adds observations already sorted into this histogram's buckets
+  /// (`bucket_counts` has num_buckets() entries), given their overflow
+  /// count, sum and extrema: for a single-writer recorder that buckets
+  /// integer samples itself (the event profiler).
+  void add_bucketed(std::span<const std::uint64_t> bucket_counts,
+                    std::uint64_t overflow, double sum, double min, double max);
 
   [[nodiscard]] std::uint64_t count() const {
     return count_.load(std::memory_order_relaxed);

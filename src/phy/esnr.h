@@ -23,12 +23,25 @@ namespace wgtt::phy {
 [[nodiscard]] double bit_error_rate(Modulation m, double snr_linear);
 
 /// Inverse of bit_error_rate in its SNR argument (binary search; BER must be
-/// in (0, 0.5]). Returns linear SNR.
+/// in (0, 0.5]). Returns linear SNR. Bisection steps outside a certified
+/// bracket around the root are decided without a BER evaluation (DESIGN.md
+/// §8, "Exact work skipping"): the result is the plain bisection's, bit for
+/// bit.
 [[nodiscard]] double snr_for_ber(Modulation m, double ber);
+
+/// snr_for_ber, also reporting how many BER evaluations it made.
+[[nodiscard]] double snr_for_ber(Modulation m, double ber,
+                                 int& ber_evaluations);
 
 /// Effective SNR in dB for modulation `m` given per-subcarrier SNRs in dB.
 [[nodiscard]] double effective_snr_db(std::span<const double> subcarrier_snr_db,
                                       Modulation m);
+
+/// effective_snr_db from linear per-subcarrier SNRs (from_db of the dB
+/// values): the same result for the same input, for callers that evaluate
+/// several modulations of one CSI vector.
+[[nodiscard]] double effective_snr_db_linear(
+    std::span<const double> subcarrier_snr_linear, Modulation m);
 
 /// The lowest value effective_snr_db returns: snr_for_ber's bisection floor.
 inline constexpr double kEsnrFloorDb = -30.0;

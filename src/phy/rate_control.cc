@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <optional>
+#include <cmath>
+#include <limits>
 
 namespace wgtt::phy {
 
@@ -61,28 +62,56 @@ void EsnrRateSelector::report(Mcs used, int attempted, int delivered) {
 void EsnrRateSelector::observe_csi(std::span<const double> subcarrier_snr_db) {
   // Derate the CSI by the staleness margin, then pick the expected-goodput
   // maximizer. CSI is at most kNumSubcarriers wide, so the derated copy
-  // lives in fixed scratch — this runs per received frame and must not
-  // allocate.
-  std::array<double, kNumSubcarriers> scratch;
-  const std::size_t n = std::min(subcarrier_snr_db.size(), scratch.size());
+  // lives in fixed scratch — this runs per transmitted A-MPDU and must not
+  // allocate. Every modulation reads the same linear SNRs.
+  std::array<double, kNumSubcarriers> linear;
+  const std::size_t n = std::min(subcarrier_snr_db.size(), linear.size());
+  double peak_db = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
-    scratch[i] = subcarrier_snr_db[i] - margin_db_;
+    const double db = subcarrier_snr_db[i] - margin_db_;
+    peak_db = std::max(peak_db, db);
+    linear[i] = from_db(db);
   }
-  const std::span<const double> derated(scratch.data(), n);
-  // expected_goodput_mbps per MCS, with one ESNR per modulation: MCSs that
-  // share a modulation share the same effective_snr_db of the same input.
-  std::array<std::optional<double>, 4> esnr_of;  // by Modulation
+  const std::span<const double> derated(linear.data(), n);
+
+  // The argmax of expected_goodput_mbps over every MCS, lowest MCS among
+  // exact maxima, with one ESNR per modulation at most (DESIGN.md §8,
+  // "Exact work skipping"). A modulation's goodputs are each at most
+  // rate * p(ESNR ceiling), so modulations are visited in descending order
+  // of that bound, and the rest are skipped once it falls below the best
+  // exact goodput.
+  constexpr std::size_t kModulations = 4;
+  std::array<double, kModulations> bound{};
+  for (const auto& info : all_mcs()) {
+    const double ceiling = esnr_ceiling_db(info.modulation, peak_db);
+    const double p_hi =
+        std::isfinite(ceiling)
+            ? mpdu_delivery_probability(ceiling, info.index, reference_bytes_)
+            : 1.0;
+    double& b = bound[static_cast<std::size_t>(info.modulation)];
+    b = std::max(b, info.data_rate_mbps * p_hi);
+  }
+  std::array<std::size_t, kModulations> order{0, 1, 2, 3};
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return bound[x] > bound[y];
+  });
   double best_goodput = -1.0;
   Mcs best = Mcs::kMcs0;
-  for (const auto& info : all_mcs()) {
-    auto& esnr = esnr_of[static_cast<std::size_t>(info.modulation)];
-    if (!esnr) esnr = effective_snr_db(derated, info.modulation);
-    const double g =
-        info.data_rate_mbps *
-        mpdu_delivery_probability(*esnr, info.index, reference_bytes_);
-    if (g > best_goodput) {
-      best_goodput = g;
-      best = info.index;
+  for (const std::size_t mod : order) {
+    // The relative margin covers the rounding of p, monotone only to a few
+    // ulps: a skipped goodput is strictly below the best, never tied.
+    if (bound[mod] * (1.0 + 1e-9) < best_goodput) break;
+    const auto modulation = static_cast<Modulation>(mod);
+    const double esnr = effective_snr_db_linear(derated, modulation);
+    for (const auto& info : all_mcs()) {
+      if (info.modulation != modulation) continue;
+      const double g =
+          info.data_rate_mbps *
+          mpdu_delivery_probability(esnr, info.index, reference_bytes_);
+      if (g > best_goodput || (g == best_goodput && info.index < best)) {
+        best_goodput = g;
+        best = info.index;
+      }
     }
   }
   current_ = best;

@@ -4,8 +4,8 @@
 // call site (channel sampling, MAC tx/rx, backhaul delivery, control
 // handling, timer fires). The tag itself is free and always present; the
 // *measurement* is opt-in: only when an EventProfiler is attached does
-// Scheduler::step() bracket each event with two steady_clock reads and
-// attribute the wall time to the event's category. With no profiler
+// Scheduler::step() read the profiler's clock once per event and attribute
+// the time since the previous read to the event's category. With no profiler
 // attached the scheduler pays a single pointer compare per event and
 // seeded runs stay byte-identical — profiling never perturbs virtual time,
 // only observes wall time.
@@ -17,8 +17,13 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <string_view>
+
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
 
 #include "obs/metrics.h"
 
@@ -47,39 +52,57 @@ inline constexpr int kNumEventCategories = 7;
 /// run (the bench harness); attached to a Scheduler via set_profiler().
 ///
 /// Per-event durations land in fixed-layout histograms (microseconds,
-/// 0-50 us in 0.25 us buckets — comfortably around the ~2 us median event)
-/// so flush_to() can fold them into a MetricsRegistry bucket-for-bucket
-/// via Histogram::merge_from.
+/// 0-50 us in 0.25 us buckets — comfortably around the ~1 us mean event)
+/// that flush_to() adds into a MetricsRegistry bucket for bucket. Times are
+/// kept in fixed point (2^-16 ns), so recording an event is integer
+/// arithmetic only.
 class EventProfiler {
  public:
   /// Shared bucket layout of the per-category histograms and their
-  /// registry counterparts (`sim.profile.<cat>_us`). merge_from is a no-op
-  /// on mismatch, so both sides construct from these constants.
+  /// registry counterparts (`sim.profile.<cat>_us`).
   static constexpr double kHistLoUs = 0.0;
   static constexpr double kHistHiUs = 50.0;
   static constexpr std::size_t kHistBuckets = 200;
 
   EventProfiler();
 
+  /// The profiler's clock, in ticks: the CPU's time-stamp counter where it
+  /// is invariant (x86-64 with constant_tsc/nonstop_tsc), which reads in
+  /// about half the time of steady_clock; steady_clock nanoseconds
+  /// elsewhere. Ticks convert to nanoseconds at a rate calibrated once per
+  /// process against steady_clock.
+  [[nodiscard]] std::uint64_t now() const {
+#if defined(__x86_64__)
+    if (tsc_) return __rdtsc();
+#endif
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  }
+
+  /// Records one event of `cat` that took `ticks` of now(). What
+  /// Scheduler::step() adds per profiled event is one now() and this call.
+  void record_ticks(EventCategory cat, std::uint64_t ticks) {
+    record_fixed(cat, ticks * fixed_per_tick_);
+  }
+
   /// Records one event of `cat` that took `ns` wall nanoseconds.
-  void record(EventCategory cat, std::uint64_t ns);
+  void record(EventCategory cat, std::uint64_t ns) {
+    record_fixed(cat, ns << kFixedBits);
+  }
 
   [[nodiscard]] std::uint64_t events(EventCategory cat) const;
   [[nodiscard]] std::uint64_t total_ns(EventCategory cat) const;
   [[nodiscard]] std::uint64_t total_events() const;
   [[nodiscard]] std::uint64_t total_ns() const;
 
-  /// Per-event duration distribution (microseconds) for one category.
-  [[nodiscard]] const obs::Histogram& histogram(EventCategory cat) const {
-    return hist_[static_cast<std::size_t>(cat)];
-  }
-
-  /// Folds another profiler's cells and histograms into this one. The
-  /// parallel engine attaches one profiler per domain scheduler (each
-  /// scheduler is stepped by exactly one worker at a time, so recording
-  /// stays single-writer) and merges them in ascending domain order after
-  /// the run — the merged totals keep bench_perf_engine's coverage and
-  /// overhead gates meaningful when the run used several threads.
+  /// Folds another profiler's cells into this one. The parallel engine
+  /// attaches one profiler per domain scheduler (each scheduler is stepped
+  /// by exactly one worker at a time, so recording stays single-writer) and
+  /// merges them in ascending domain order after the run — the merged
+  /// totals keep bench_perf_engine's coverage and overhead gates meaningful
+  /// when the run used several threads.
   void merge_from(const EventProfiler& other);
 
   /// Exports the profile into `registry`:
@@ -91,15 +114,35 @@ class EventProfiler {
   void flush_to(obs::MetricsRegistry& registry) const;
 
  private:
+  static constexpr int kFixedBits = 16;  // times in 2^-16 ns
+  static constexpr std::uint64_t kFixedPerBucket = 250ull << kFixedBits;
+  static_assert((kHistHiUs - kHistLoUs) * 1e3 / kHistBuckets == 250.0 &&
+                kHistLoUs == 0.0);
+
   struct Cell {
     std::uint64_t events = 0;
-    std::uint64_t ns = 0;
+    std::uint64_t fixed = 0;  // total
+    std::uint64_t min = ~std::uint64_t{0};
+    std::uint64_t max = 0;
+    std::array<std::uint64_t, kHistBuckets + 1> buckets{};  // last: overflow
   };
+
+  [[nodiscard]] static double fixed_to_ns(std::uint64_t fixed);
+
+  // Single writer: the scheduler stepping this profiler's events.
+  void record_fixed(EventCategory cat, std::uint64_t fixed) {
+    Cell& c = cells_[static_cast<std::size_t>(cat)];
+    ++c.events;
+    c.fixed += fixed;
+    c.min = fixed < c.min ? fixed : c.min;
+    c.max = fixed > c.max ? fixed : c.max;
+    const std::uint64_t bucket = fixed / kFixedPerBucket;
+    ++c.buckets[bucket < kHistBuckets ? bucket : kHistBuckets];
+  }
+
+  bool tsc_;
+  std::uint64_t fixed_per_tick_;
   std::array<Cell, kNumEventCategories> cells_{};
-  // Histogram is neither copyable nor movable (atomics); the aggregate
-  // initializer in the constructor builds each element in place (guaranteed
-  // elision).
-  std::array<obs::Histogram, kNumEventCategories> hist_;
 };
 
 }  // namespace wgtt::sim

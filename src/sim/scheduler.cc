@@ -1,7 +1,6 @@
 #include "sim/scheduler.h"
 
 #include <cassert>
-#include <chrono>
 #include <utility>
 
 namespace wgtt::sim {
@@ -60,7 +59,7 @@ void Scheduler::cancel(EventId id) {
 }
 
 bool Scheduler::step() {
-  // Profiled path: one steady_clock read per event, charged as the delta
+  // Profiled path: one profiler clock read per event, charged as the delta
   // from profile_mark_ (stamped at attach and advanced per event). Covers
   // heap pop, cancelled-key skips, the callback, and loop glue since the
   // previous event; zero clock reads when no profiler is attached.
@@ -80,12 +79,11 @@ bool Scheduler::step() {
     ++executed_;
     fn();
     if (profiler_ != nullptr) {
-      const auto end = std::chrono::steady_clock::now();
-      const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          end - profile_mark_)
-                          .count();
+      const std::uint64_t end = profiler_->now();
+      // A domain scheduler may move between cores: never charge a backward
+      // step of their counters.
+      profiler_->record_ticks(cat, end > profile_mark_ ? end - profile_mark_ : 0);
       profile_mark_ = end;
-      profiler_->record(cat, static_cast<std::uint64_t>(ns));
     }
     return true;
   }

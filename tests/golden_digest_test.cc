@@ -411,6 +411,21 @@ TEST(BoundFirstDecode, RulesOutMostReceptionsOnThe8x32Drive) {
   EXPECT_GE(share, 0.40) << r.rx_ruled_out << " of " << r.rx_decided;
 }
 
+TEST(BoundFirstDecode, DecidesMostSampledReceptionsWithoutAnEsnr) {
+  // Of the receptions that are sampled, those the measured CSI's ESNR
+  // bounds decide (DESIGN.md §8). Exact too, so only this share shows a
+  // looser bound.
+  const DriveResult r = benchx::run_drive(drive_8x32_config(1));
+  ASSERT_GT(r.rx_decided, r.rx_ruled_out);
+  const std::uint64_t sampled = r.rx_decided - r.rx_ruled_out;
+  const double share =
+      static_cast<double>(r.rx_bounded) / static_cast<double>(sampled);
+  EXPECT_GE(share, 0.40) << r.rx_bounded << " of " << sampled;
+  std::printf("%llu of %llu sampled receptions decided without an ESNR\n",
+              static_cast<unsigned long long>(r.rx_bounded),
+              static_cast<unsigned long long>(sampled));
+}
+
 }  // namespace
 }  // namespace wgtt
 

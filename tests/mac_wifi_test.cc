@@ -12,6 +12,7 @@
 #include "mac/medium.h"
 #include "mac/wifi_mac.h"
 #include "net/packet.h"
+#include "phy/esnr.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -362,6 +363,81 @@ TEST(WifiMacBoundTest, HopelessReceptionIsDecidedWithoutSample) {
   EXPECT_EQ(bound.ba_delay, plain.ba_delay);
   // The dead frames' draws do move the jitter: skipping them would show.
   EXPECT_NE(run_dead_link(/*wire_ceiling=*/true, 0).ba_delay, plain.ba_delay);
+}
+
+TEST(WifiMacBoundTest, MeasuredBoundsDecideDrawsAsTheExactEsnrWould) {
+  // A flat channel pins the ESNR between bounds 2e-3 dB apart, so the
+  // sample's own bounds decide the draws (all of them here), with no ESNR.
+  // The outcomes, and every later draw of the receiver, must be those of
+  // the exact ESNR with Rng::chance per MPDU: replayed here on a copy of
+  // the receiver's generator.
+  constexpr double kSnrDb = 24.0;  // MCS 7's sensitivity: p near 1/2
+  constexpr int kFrames = 40;
+  const WifiMac::Config cfg;
+  sim::Scheduler sched;
+  Medium medium(sched, {});
+  WifiMac rx(sched, medium, Rng{77}, cfg);
+  rx.attach([] { return channel::Vec2{0, 0}; });
+  rx.set_channel_sampler(
+      [&sched](RadioId) { return flat_csi(kSnrDb, sched.now()); });
+  int delivered = 0;
+  rx.on_deliver = [&delivered](RadioId, const net::Packet&) { ++delivered; };
+  std::vector<Time> ba_delays;  // data air end -> block ACK air start
+  Time air_end = Time::zero();
+  const RadioId tx = medium.add_radio(
+      [] { return channel::Vec2{5, 0}; },
+      [&](const Frame& f, const Medium::RxContext&) {
+        if (std::holds_alternative<BlockAckFrame>(f.body)) {
+          ba_delays.push_back(f.air_start - air_end);
+        }
+      });
+
+  Rng replay{77};
+  const double p = phy::mpdu_delivery_probability(
+      phy::effective_snr_db(flat_csi(kSnrDb, Time::zero()).subcarrier_snr_db,
+                            phy::Modulation::kQam64),
+      phy::Mcs::kMcs7, data_packet().air_bytes());
+  ASSERT_GT(p, 0.1);
+  ASSERT_LT(p, 0.9);
+  int want_delivered = 0;
+  std::vector<Time> want_delays;
+  for (int i = 0; i < kFrames; ++i) {
+    Frame f;
+    f.from = tx;
+    f.to = rx.radio();
+    DataFrame df;
+    df.mcs = phy::Mcs::kMcs7;
+    for (int k = 0; k < 4; ++k) {
+      df.mpdus.push_back(
+          Mpdu{static_cast<std::uint16_t>(4 * i + k), data_packet()});
+    }
+    f.body = df;
+    air_end = sched.now() + Time::us(300);
+    medium.transmit(tx, std::move(f), Time::us(300));
+    sched.run_until(sched.now() + Time::ms(1));
+
+    bool any = false;
+    for (int k = 0; k < 4; ++k) {
+      if (replay.chance(p)) {
+        ++want_delivered;
+        any = true;
+      }
+    }
+    if (any) {  // the block ACK's jitter, as WifiMac::send_block_ack draws it
+      want_delays.push_back(
+          cfg.timings.sifs +
+          Time::ns(static_cast<std::int64_t>(
+              replay.uniform() *
+              static_cast<double>(cfg.ba_response_jitter_max.count_ns()))));
+    }
+  }
+  EXPECT_EQ(rx.receptions_decided(), static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(rx.receptions_ruled_out(), 0u);
+  EXPECT_EQ(rx.receptions_bounded(), static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(delivered, want_delivered);
+  EXPECT_GT(want_delivered, 0);
+  EXPECT_LT(want_delivered, 4 * kFrames);
+  EXPECT_EQ(ba_delays, want_delays);
 }
 
 TEST_F(WifiMacTest, MgmtFrameDelivery) {

@@ -147,8 +147,18 @@ TEST(ProfilerMergeTest, MergeFromAddsCellsAndHistograms) {
   EXPECT_EQ(a.total_ns(sim::EventCategory::kMacTx), 4000u);
   EXPECT_EQ(a.total_events(), 4u);
   EXPECT_EQ(a.total_ns(), 5500u);
-  EXPECT_EQ(a.histogram(sim::EventCategory::kMacTx).count(), 2u);
-  EXPECT_EQ(a.histogram(sim::EventCategory::kTimer).count(), 1u);
+  EXPECT_EQ(a.events(sim::EventCategory::kTimer), 1u);
+  // The merged cells export as one histogram per category.
+  obs::MetricsRegistry r;
+  a.flush_to(r);
+  const obs::Histogram* mac_tx = r.find_histogram("sim.profile.mac_tx_us");
+  ASSERT_NE(mac_tx, nullptr);
+  EXPECT_EQ(mac_tx->count(), 2u);
+  EXPECT_DOUBLE_EQ(mac_tx->sum(), 4.0);
+  EXPECT_DOUBLE_EQ(mac_tx->min(), 1.5);
+  EXPECT_DOUBLE_EQ(mac_tx->max(), 2.5);
+  EXPECT_EQ(mac_tx->bucket_count(6), 1u);   // [1.5, 1.75) us
+  EXPECT_EQ(mac_tx->bucket_count(10), 1u);  // [2.5, 2.75) us
 }
 
 // --- synthetic domain graph ------------------------------------------------

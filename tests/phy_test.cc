@@ -2,9 +2,13 @@
 // probability, airtime accounting, and rate control.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "channel/link_channel.h"
 #include "phy/airtime.h"
 #include "phy/esnr.h"
 #include "phy/mcs.h"
@@ -83,6 +87,96 @@ TEST(SnrForBerTest, InverseOfBer) {
     }
   }
   EXPECT_THROW((void)snr_for_ber(Modulation::kBpsk, 0.0), std::invalid_argument);
+}
+
+// snr_for_ber before its bracketed form: the plain 48-step bisection. The
+// bracket must reproduce it bit for bit.
+double reference_snr_for_ber(Modulation m, double ber) {
+  const double target = std::min(ber, 0.5);
+  double lo = 1e-3;
+  double hi = 1e6;
+  if (bit_error_rate(m, lo) <= target) return lo;
+  if (bit_error_rate(m, hi) >= target) return hi;
+  for (int it = 0; it < 48; ++it) {
+    const double mid = std::sqrt(lo * hi);
+    if (bit_error_rate(m, mid) > target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return std::sqrt(lo * hi);
+}
+
+TEST(SnrForBerTest, BracketedInversionIsBitIdenticalToBisection) {
+  constexpr Modulation kModulations[] = {Modulation::kBpsk, Modulation::kQpsk,
+                                         Modulation::kQam16,
+                                         Modulation::kQam64};
+  std::vector<std::pair<Modulation, double>> targets;
+  // Mean BERs of real CSI, as effective_snr_db inverts them: links under
+  // the AP, along the road and beyond sense range.
+  channel::LinkChannel::Config cfg;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const channel::Vec2 ap{0.0, seed % 2 == 0 ? 15.0 : 3.0};
+    const channel::LinkChannel link(ap, {0.0, 0.0}, cfg, rng);
+    Rng draw(seed + 500);
+    for (int s = 0; s < 2000; ++s) {
+      const double reach = s % 3 == 0 ? 10.0 : (s % 3 == 1 ? 150.0 : 600.0);
+      const channel::Vec2 pos{draw.uniform(-reach, reach),
+                              draw.uniform(-3.0, 3.0)};
+      const auto csi = link.measure(pos, Time::millis(draw.uniform(0.0, 1e4)));
+      for (const Modulation m : kModulations) {
+        double mean = 0.0;
+        for (const double db : csi.subcarrier_snr_db) {
+          mean += bit_error_rate(m, from_db(db));
+        }
+        mean /= static_cast<double>(csi.subcarrier_snr_db.size());
+        if (mean > 0.0) targets.emplace_back(m, mean);
+      }
+    }
+  }
+  // Log-uniform targets from 1e-13 to 0.6, past every modulation's top BER.
+  Rng draw(99);
+  for (int i = 0; i < 920'000; ++i) {
+    targets.emplace_back(kModulations[i % 4],
+                         std::pow(10.0, draw.uniform(-13.0, std::log10(0.6))));
+  }
+  // Edges: the cap, QAM targets above scale * 0.5, both range ends, the
+  // 45 dB clamp's threshold, and tiny values down to the least subnormal.
+  for (const Modulation m : kModulations) {
+    for (const double t :
+         {0.5, 0.4, 0.3, 0.2917, bit_error_rate(m, 1e-3),
+          std::nextafter(bit_error_rate(m, 1e-3), 0.0),
+          std::nextafter(bit_error_rate(m, 1e-3), 1.0), bit_error_rate(m, 1e6),
+          bit_error_rate(m, 5e2), bit_error_rate(m, 2e3), 1e-12, 1e-100,
+          1e-250, 1e-260, 1e-300, std::numeric_limits<double>::min(),
+          std::numeric_limits<double>::denorm_min()}) {
+      if (t > 0.0) targets.emplace_back(m, t);
+    }
+  }
+  ASSERT_GE(targets.size(), 1'000'000u);
+  std::size_t mismatches = 0;
+  std::uint64_t evaluations = 0;
+  for (const auto& [m, t] : targets) {
+    int n = 0;
+    const double got = snr_for_ber(m, t, n);
+    evaluations += static_cast<std::uint64_t>(n);
+    const double want = reference_snr_for_ber(m, t);
+    if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want)) {
+      if (++mismatches <= 10) {
+        ADD_FAILURE() << to_string(m) << " target " << t << ": " << got
+                      << " vs " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // A looser bracket stays exact but shows here: ~49.5 without one.
+  const double mean = static_cast<double>(evaluations) /
+                      static_cast<double>(targets.size());
+  EXPECT_LE(mean, 12.0);
+  std::printf("%zu targets, %.2f BER evaluations per inversion\n",
+              targets.size(), mean);
 }
 
 TEST(EsnrTest, FlatChannelEsnrEqualsSnr) {
@@ -291,28 +385,58 @@ TEST(EsnrSelectorTest, RetreatsAfterSustainedFailure) {
 }
 
 TEST(EsnrSelectorTest, PicksTheExpectedGoodputArgmax) {
-  // observe_csi shares one ESNR among the MCSs of a modulation; its choice
-  // must be the argmax of expected_goodput_mbps over every MCS.
+  // observe_csi shares one ESNR among the MCSs of a modulation and skips
+  // modulations whose goodput ceiling is below the best exact goodput; its
+  // choice must be the argmax of expected_goodput_mbps over every MCS, the
+  // lowest MCS among exact maxima.
   Rng rng(42);
-  for (int trial = 0; trial < 200; ++trial) {
+  int ties = 0;
+  int floor_ties = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
     std::vector<double> csi(static_cast<std::size_t>(kNumSubcarriers));
-    const double centre = rng.uniform(-5.0, 40.0);
-    for (double& s : csi) s = centre + rng.uniform(-12.0, 6.0);
+    // Every regime: below the -30 dB floor, the waterfalls, and the 45 dB
+    // clamp; a long reference frame makes p underflow to exact zeros.
+    const double centre = rng.uniform(-70.0, 55.0);
+    const double spread = trial % 3 == 0 ? 0.0 : rng.uniform(0.0, 20.0);
+    for (double& s : csi) s = centre + rng.uniform(-spread, spread * 0.5);
+    if (trial % 5 == 1) {
+      // A few strong subcarriers over a dead channel: high goodput
+      // ceilings, an ESNR on the floor, so a high modulation is visited
+      // first and ties with lower ones.
+      for (std::size_t k = 0; k < csi.size(); k += 9) {
+        csi[k] = rng.uniform(20.0, 40.0);
+      }
+    }
+    const double margin = trial % 2 == 0 ? 2.5 : rng.uniform(0.0, 6.0);
+    const std::size_t bytes =
+        trial % 4 == 0 ? 65'535 : static_cast<std::size_t>(rng.uniform(40, 4000));
     std::vector<double> derated = csi;
-    for (double& s : derated) s -= 2.5;
+    for (double& s : derated) s -= margin;
     double best_goodput = -1.0;
     Mcs best = Mcs::kMcs0;
+    int maxima = 0;
     for (const auto& info : all_mcs()) {
-      const double g = expected_goodput_mbps(derated, info.index, 1500);
+      const double g = expected_goodput_mbps(derated, info.index, bytes);
       if (g > best_goodput) {
         best_goodput = g;
         best = info.index;
+        maxima = 1;
+      } else if (g == best_goodput) {
+        ++maxima;
       }
     }
-    EsnrRateSelector rc(1500, 2.5);
+    if (maxima > 1) {
+      ++ties;
+      if (effective_snr_db(derated, Modulation::kQam64) == kEsnrFloorDb) {
+        ++floor_ties;
+      }
+    }
+    EsnrRateSelector rc(bytes, margin);
     rc.observe_csi(csi);
     EXPECT_EQ(rc.select(), best) << "trial " << trial;
   }
+  EXPECT_GT(floor_ties, 0);
+  EXPECT_GT(ties, floor_ties);
 }
 
 // Parameterized property: for every MCS, delivery probability at its
