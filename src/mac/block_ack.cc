@@ -25,45 +25,48 @@ void BaBitmap::set(std::uint16_t seq) {
 
 int BaBitmap::count() const { return std::popcount(bits); }
 
+void RxDupFilter::mark(std::uint16_t seq, bool value) {
+  const std::uint64_t bit = std::uint64_t{1} << (seq % 64);
+  std::uint64_t& word = seen_[(seq % kWindow) / 64];
+  word = value ? (word | bit) : (word & ~bit);
+}
+
 bool RxDupFilter::accept(std::uint16_t seq) {
   seq &= kSeqSpace - 1;
   if (!started_) {
     started_ = true;
     newest_ = seq;
-    std::fill(seen_.begin(), seen_.end(), false);
-    seen_[0] = true;
+    seen_.fill(0);
+    mark(seq, true);
     return true;
   }
   if (seq == newest_) return false;
   if (seq_less(newest_, seq)) {
-    // Advance the window: shift history by the advance amount.
+    // Advance the window: the sequence numbers it newly covers take over
+    // the ring positions of those that fell out of it, so clear exactly
+    // those positions (O(advance)).
     const std::uint16_t adv = seq_sub(seq, newest_);
     if (adv >= kWindow) {
-      std::fill(seen_.begin(), seen_.end(), false);
+      seen_.fill(0);
     } else {
-      // seen_[i] refers to newest_ - i; new newest shifts indices up.
-      for (int i = kWindow - 1; i >= 0; --i) {
-        seen_[static_cast<std::size_t>(i)] =
-            i >= adv ? seen_[static_cast<std::size_t>(i - adv)] : false;
-      }
+      for (std::uint16_t d = 1; d < adv; ++d) mark(seq_add(newest_, d), false);
     }
     newest_ = seq;
-    seen_[0] = true;
+    mark(seq, true);
     return true;
   }
   // Behind the newest: inside the window -> dedup; far behind -> treat as
   // stale duplicate and drop (matches hardware behaviour after reordering).
-  const std::uint16_t back = seq_sub(newest_, seq);
-  if (back >= kWindow) return false;
-  if (seen_[back]) return false;
-  seen_[back] = true;
+  if (seq_sub(newest_, seq) >= kWindow) return false;
+  if (seen(seq)) return false;
+  mark(seq, true);
   return true;
 }
 
 void RxDupFilter::reset() {
   started_ = false;
   newest_ = 0;
-  std::fill(seen_.begin(), seen_.end(), false);
+  seen_.fill(0);
 }
 
 }  // namespace wgtt::mac

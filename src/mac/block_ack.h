@@ -8,6 +8,7 @@
 // (paper §3.2.1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -79,11 +80,21 @@ class RxDupFilter {
   void reset();
 
  private:
-  static constexpr int kWindow = 256;  // > 2 BA windows of slack
+  static constexpr std::uint16_t kWindow = 256;  // > 2 BA windows of slack
+  static_assert(kSeqSpace % kWindow == 0,
+                "ring positions must survive the 12-bit wrap");
+
+  [[nodiscard]] bool seen(std::uint16_t seq) const {
+    return (seen_[(seq % kWindow) / 64] >> (seq % 64)) & 1u;
+  }
+  void mark(std::uint16_t seq, bool value);
+
   bool started_ = false;
   std::uint16_t newest_ = 0;
-  // seen_[i] tracks newest_ - i.
-  std::vector<bool> seen_ = std::vector<bool>(kWindow, false);
+  // Ring over the window newest_ - kWindow + 1 .. newest_: bit (seq mod
+  // kWindow) says whether seq was seen, so an advance clears only the
+  // positions the newly covered sequence numbers take over.
+  std::array<std::uint64_t, kWindow / 64> seen_{};
 };
 
 }  // namespace wgtt::mac

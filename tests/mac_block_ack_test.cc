@@ -2,6 +2,7 @@
 // duplicate filter — the state WGTT shares across APs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -161,6 +162,106 @@ TEST_P(DupFilterProperty, MatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DupFilterProperty, ::testing::Range(0, 20));
+
+// The filter as it was before its window became a ring: a 256-entry history
+// shifted one element per advanced position. Kept here only as the oracle
+// the ring must match decision for decision.
+class ShiftingDupFilter {
+ public:
+  bool accept(std::uint16_t seq) {
+    seq &= kSeqSpace - 1;
+    if (!started_) {
+      started_ = true;
+      newest_ = seq;
+      std::fill(seen_.begin(), seen_.end(), false);
+      seen_[0] = true;
+      return true;
+    }
+    if (seq == newest_) return false;
+    if (seq_less(newest_, seq)) {
+      const std::uint16_t adv = seq_sub(seq, newest_);
+      if (adv >= kWindow) {
+        std::fill(seen_.begin(), seen_.end(), false);
+      } else {
+        for (int i = kWindow - 1; i >= 0; --i) {
+          seen_[static_cast<std::size_t>(i)] =
+              i >= adv ? seen_[static_cast<std::size_t>(i - adv)] : false;
+        }
+      }
+      newest_ = seq;
+      seen_[0] = true;
+      return true;
+    }
+    const std::uint16_t back = seq_sub(newest_, seq);
+    if (back >= kWindow) return false;
+    if (seen_[back]) return false;
+    seen_[back] = true;
+    return true;
+  }
+  void reset() {
+    started_ = false;
+    newest_ = 0;
+    std::fill(seen_.begin(), seen_.end(), false);
+  }
+
+ private:
+  static constexpr int kWindow = 256;
+  bool started_ = false;
+  std::uint16_t newest_ = 0;
+  std::vector<bool> seen_ = std::vector<bool>(kWindow, false);
+};
+
+TEST(RxDupFilterTest, RingMatchesShiftingFilterOnRandomStreams) {
+  // 100k random streams of 32 decisions each, mixing small steps, advances
+  // of a window or more, replays inside and beyond the window, 12-bit
+  // wraps and mid-stream resets. Every decision must match the oracle.
+  Rng rng(0x5eedf11e);
+  constexpr int kStreams = 100'000;
+  constexpr int kSteps = 32;
+  int wraps = 0;
+  int big_advances = 0;
+  int far_backs = 0;
+  int resets = 0;
+  for (int stream = 0; stream < kStreams; ++stream) {
+    RxDupFilter ring;
+    ShiftingDupFilter oracle;
+    auto newest = static_cast<std::uint16_t>(rng.uniform_int(kSeqSpace));
+    for (int step = 0; step < kSteps; ++step) {
+      const double u = rng.uniform();
+      std::uint16_t next;
+      if (u < 0.45) {  // small advance
+        next = seq_add(newest, static_cast<std::uint16_t>(rng.uniform_int(8)));
+      } else if (u < 0.55) {  // advance of about a window or more
+        next = seq_add(newest,
+                       static_cast<std::uint16_t>(200 + rng.uniform_int(400)));
+      } else if (u < 0.85) {  // replay inside the window
+        next = seq_add(newest, static_cast<std::uint16_t>(
+                                   kSeqSpace - rng.uniform_int(256)));
+      } else if (u < 0.97) {  // replay about a window back or further
+        next = seq_add(newest, static_cast<std::uint16_t>(
+                                   kSeqSpace - 200 - rng.uniform_int(1600)));
+      } else {
+        ring.reset();
+        oracle.reset();
+        ++resets;
+        next = static_cast<std::uint16_t>(rng.uniform_int(kSeqSpace));
+      }
+      if (seq_less(newest, next)) {
+        if (next < newest) ++wraps;
+        if (seq_sub(next, newest) >= 256) ++big_advances;
+      } else if (seq_sub(newest, next) >= 256) {
+        ++far_backs;
+      }
+      ASSERT_EQ(ring.accept(next), oracle.accept(next))
+          << "stream " << stream << " step " << step << " seq " << next;
+      if (step == 0 || seq_less(newest, next) || u >= 0.97) newest = next;
+    }
+  }
+  EXPECT_GT(wraps, 1000);
+  EXPECT_GT(big_advances, 1000);
+  EXPECT_GT(far_backs, 1000);
+  EXPECT_GT(resets, 1000);
+}
 
 }  // namespace
 }  // namespace wgtt::mac
