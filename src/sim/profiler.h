@@ -10,10 +10,10 @@
 // seeded runs stay byte-identical — profiling never perturbs virtual time,
 // only observes wall time.
 //
-// The profile answers the question ROADMAP item 3 (SIMD channel kernel,
-// parallel event loop) depends on: where do the ~0.5M events/sec actually
-// go? bench_perf_engine prints the per-kind breakdown and run_drive
-// exports it as `sim.profile.*` instruments in the metrics snapshot.
+// The profile answers where a run's wall time goes, event kind by event
+// kind. bench_perf_engine prints the per-kind breakdown, run_drive exports
+// it as `sim.profile.*` instruments in the metrics snapshot, and perfbench's
+// traced runs turn it into the per-kind ledger (`sim.profile.*_ns_per_pkt`).
 #pragma once
 
 #include <array>
