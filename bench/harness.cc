@@ -443,6 +443,7 @@ DriveResult run_drive(const DriveConfig& cfg) {
   if (cfg.profile && wgtt) sched->set_profiler(nullptr);
 
   // --- collect ------------------------------------------------------------------------
+  result.events_executed = sched->events_executed();
   scenario::InvariantReport invariants;
   for (int i = 0; i < n; ++i) {
     ClientResult& cr = result.clients[static_cast<std::size_t>(i)];

@@ -193,6 +193,8 @@ struct DriveResult {
   std::uint64_t rx_bounded = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t mpdus_delivered = 0;
+  /// Scheduler events the drive executed.
+  std::uint64_t events_executed = 0;
   std::uint64_t delivered_via_forwarded_ba = 0;
   std::uint64_t uplink_dups_dropped = 0;
   std::uint64_t uplink_packets = 0;

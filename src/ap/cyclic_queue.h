@@ -51,6 +51,9 @@ class CyclicQueue {
   /// overwritten occupant's reference is dropped, never copied.
   void put_handle(std::uint16_t index, net::PacketPool::Handle handle);
 
+  /// The pool behind the slots (put() acquires from it).
+  [[nodiscard]] net::PacketPool& pool() { return *pool_; }
+
   /// Packet at `index`, if that exact index is present.
   [[nodiscard]] const net::Packet* peek(std::uint16_t index) const;
 

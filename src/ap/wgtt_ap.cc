@@ -26,8 +26,7 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
   mac_.attach(std::move(position));
   mac_.on_deliver = [this](mac::RadioId from, const net::Packet& pkt) {
     // Uplink data decoded by this AP: tunnel to the controller (§3.2.2).
-    auto it = client_of_radio_.find(from);
-    if (it == client_of_radio_.end()) return;
+    if (!client_of_radio(from)) return;
     ++stats_.uplink_forwarded;
     backhaul_.send(NodeId::ap(id_), controller_node_,
                    net::UplinkData{id_, pkt});
@@ -37,9 +36,9 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
     on_heard(f, decoded, csi);
   };
   mac_.on_mpdu_acked = [this](mac::RadioId peer, std::uint16_t, const net::Packet&) {
-    auto it = client_of_radio_.find(peer);
-    if (it == client_of_radio_.end()) return;
-    ClientState* cs = client_state(it->second);
+    const std::optional<net::ClientId> client = client_of_radio(peer);
+    if (!client) return;
+    ClientState* cs = client_state(*client);
     if (cs != nullptr) pump(*cs);
   };
   backhaul_.attach(NodeId::ap(id_), [this](NodeId from, BackhaulMessage msg) {
@@ -48,6 +47,7 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
   pump_timer_ = std::make_unique<sim::Timer>(
       sched_,
       [this] {
+        settle();
         pump_all();
         pump_timer_->start(config_.pump_period);
       },
@@ -55,30 +55,139 @@ WgttAp::WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
   pump_timer_->start(config_.pump_period);
 }
 
+WgttAp::~WgttAp() {
+  if (payload_pool_ == nullptr) return;
+  backhaul_.set_fanout_sink(id_, nullptr);
+  // Pending copies die with the AP; their references go back to the pool.
+  for (std::size_t i = inbox_head_; i < inbox_.size(); ++i) {
+    payload_pool_->drop(inbox_[i].handle);
+  }
+}
+
+void WgttAp::set_payload_pool(net::PacketPool* pool) {
+  payload_pool_ = pool;
+  backhaul_.set_fanout_sink(id_, pool != nullptr ? this : nullptr);
+}
+
+bool WgttAp::defer(const net::DeferredCopy& copy) {
+  const ClientState* cs = client_state(copy.client);
+  if (cs != nullptr && cs->serving) return false;
+  if (inbox_head_ < inbox_.size() && copy < inbox_.back()) {
+    inbox_sorted_ = false;
+  }
+  inbox_.push_back(copy);
+  return true;
+}
+
+void WgttAp::settle() {
+  if (inbox_head_ == inbox_.size()) return;
+  if (!inbox_sorted_) {
+    std::sort(inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_head_),
+              inbox_.end());
+    inbox_sorted_ = true;
+  }
+  while (inbox_head_ < inbox_.size()) {
+    const net::DeferredCopy copy = inbox_[inbox_head_];
+    if (!sched_.passed(copy.arrival, copy.seq)) break;
+    ++inbox_head_;
+    take_copy(copy);
+  }
+  if (inbox_head_ == inbox_.size()) {
+    inbox_.clear();
+    inbox_head_ = 0;
+  } else if (inbox_head_ >= 64 && 2 * inbox_head_ >= inbox_.size()) {
+    inbox_.erase(inbox_.begin(),
+                 inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_head_));
+    inbox_head_ = 0;
+  }
+}
+
+void WgttAp::receive(const net::DeferredCopy& copy) {
+  // What any backhaul message does first; then the copy itself.
+  settle();
+  take_copy(copy);
+}
+
+void WgttAp::take_copy(const net::DeferredCopy& copy) {
+  if (!backhaul_.node_up(NodeId::ap(id_))) {
+    backhaul_.drop_on_downed_link(copy.handle);
+    return;
+  }
+  ClientState* cs = crashed_ ? nullptr : client_state(copy.client);
+  if (cs == nullptr) {
+    payload_pool_->drop(copy.handle);
+    return;
+  }
+  store_downlink(*cs, copy.index, copy.handle);
+}
+
+void WgttAp::promote(net::ClientId client) {
+  auto keep = inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_head_);
+  for (auto it = keep; it != inbox_.end(); ++it) {
+    if (it->client != client) {
+      *keep++ = *it;
+      continue;
+    }
+    // The delivery event the backhaul would have scheduled.
+    sched_.schedule_reserved(it->arrival, it->seq,
+                             [this, copy = *it] { receive(copy); },
+                             sim::EventCategory::kBackhaul);
+  }
+  inbox_.erase(keep, inbox_.end());
+}
+
+const std::array<WgttAp::CounterKey, 14> WgttAp::kCounterKeys = {{
+    {"ap.downlink_received", &Stats::downlink_received},
+    {"ap.cyclic_overwrites", &Stats::cyclic_overwrites},
+    {"ap.stale_dropped", &Stats::stale_dropped},
+    {"ap.pump_enqueued", &Stats::pump_enqueued},
+    {"ap.stops_handled", &Stats::stops_handled},
+    {"ap.starts_handled", &Stats::starts_handled},
+    {"ap.stop_duplicates", &Stats::stop_duplicates},
+    {"ap.start_duplicates", &Stats::start_duplicates},
+    {"ap.stale_control_ignored", &Stats::stale_control_ignored},
+    {"ap.ba_forwarded", &Stats::ba_forwarded},
+    {"ap.ba_forward_received", &Stats::ba_forward_received},
+    {"ap.ba_forward_duplicate", &Stats::ba_forward_duplicate},
+    {"ap.csi_reports_sent", &Stats::csi_reports_sent},
+    {"ap.uplink_forwarded", &Stats::uplink_forwarded},
+}};
+
+WgttAp::Instruments WgttAp::instruments(obs::MetricsRegistry& registry) {
+  Instruments in;
+  in.registry = &registry;
+  for (const CounterKey& k : kCounterKeys) {
+    in.counters.push_back(&registry.counter(k.name));
+  }
+  in.cyclic_occupancy =
+      &registry.histogram("ap.cyclic_occupancy", 0.0, 2048.0, 128);
+  in.stop_to_start = &registry.histogram("ap.stop_to_start_ms", 0.0, 40.0, 160);
+  in.start_to_ack = &registry.histogram("ap.start_to_ack_ms", 0.0, 40.0, 160);
+  return in;
+}
+
 void WgttAp::set_metrics(obs::MetricsRegistry* registry) {
+  if (registry == nullptr) {
+    settle();
+    counters_.release();
+    metrics_.reset();
+    return;
+  }
+  set_metrics(instruments(*registry));
+}
+
+void WgttAp::set_metrics(const Instruments& instruments) {
+  settle();
   counters_.release();
   metrics_.reset();
-  if (registry == nullptr) return;
-  obs::MetricsRegistry& r = *registry;
-  counters_.bind(r, "ap.downlink_received", stats_.downlink_received);
-  counters_.bind(r, "ap.cyclic_overwrites", stats_.cyclic_overwrites);
-  counters_.bind(r, "ap.stale_dropped", stats_.stale_dropped);
-  counters_.bind(r, "ap.pump_enqueued", stats_.pump_enqueued);
-  counters_.bind(r, "ap.stops_handled", stats_.stops_handled);
-  counters_.bind(r, "ap.starts_handled", stats_.starts_handled);
-  counters_.bind(r, "ap.stop_duplicates", stats_.stop_duplicates);
-  counters_.bind(r, "ap.start_duplicates", stats_.start_duplicates);
-  counters_.bind(r, "ap.stale_control_ignored", stats_.stale_control_ignored);
-  counters_.bind(r, "ap.ba_forwarded", stats_.ba_forwarded);
-  counters_.bind(r, "ap.ba_forward_received", stats_.ba_forward_received);
-  counters_.bind(r, "ap.ba_forward_duplicate", stats_.ba_forward_duplicate);
-  counters_.bind(r, "ap.csi_reports_sent", stats_.csi_reports_sent);
-  counters_.bind(r, "ap.uplink_forwarded", stats_.uplink_forwarded);
+  for (std::size_t i = 0; i < kCounterKeys.size(); ++i) {
+    counters_.bind(*instruments.registry, *instruments.counters[i],
+                   stats_.*kCounterKeys[i].field);
+  }
   Metrics m;
-  m.cyclic_occupancy = &r.histogram("ap.cyclic_occupancy", 0.0, 2048.0, 128);
-  m.stop_to_start.set_sink(
-      &r.histogram("ap.stop_to_start_ms", 0.0, 40.0, 160));
-  m.start_to_ack.set_sink(&r.histogram("ap.start_to_ack_ms", 0.0, 40.0, 160));
+  m.cyclic_occupancy = instruments.cyclic_occupancy;
+  m.stop_to_start.set_sink(instruments.stop_to_start);
+  m.start_to_ack.set_sink(instruments.start_to_ack);
   metrics_ = std::move(m);
 }
 
@@ -88,16 +197,21 @@ void WgttAp::set_ap_directory(
 }
 
 void WgttAp::register_client(net::ClientId client, mac::RadioId radio) {
-  if (clients_.contains(client)) return;
-  ClientState cs;
-  cs.radio = radio;
+  if (client_state(client) != nullptr) return;
+  settle();
+  auto cs = std::make_unique<ClientState>();
+  cs->radio = radio;
   // Queues share the system-wide payload pool when one is wired (pooled
   // fan-out handles must land in the pool that owns them), the AP-wide
   // pool otherwise.
-  cs.queue =
+  cs->queue =
       CyclicQueue(payload_pool_ != nullptr ? payload_pool_ : &packet_pool_);
-  clients_.emplace(client, std::move(cs));
-  client_of_radio_[radio] = client;
+  const std::size_t i = net::index_of(client);
+  if (i >= clients_.size()) clients_.resize(i + 1);
+  clients_[i] = std::move(cs);
+  const auto r = static_cast<std::size_t>(radio);
+  if (r >= client_of_radio_.size()) client_of_radio_.resize(r + 1);
+  client_of_radio_[r] = client;
   mac_.add_peer(radio);
   // WGTT APs have per-frame CSI; drive the rate from it (§4.2 keeps the
   // default controller, but the default Atheros controller converges to the
@@ -106,26 +220,29 @@ void WgttAp::register_client(net::ClientId client, mac::RadioId radio) {
 }
 
 bool WgttAp::serving(net::ClientId client) const {
-  auto it = clients_.find(client);
-  return it != clients_.end() && it->second.serving;
+  const ClientState* cs = client_state(client);
+  return cs != nullptr && cs->serving;
 }
 
 std::size_t WgttAp::cyclic_backlog(net::ClientId client) const {
-  auto it = clients_.find(client);
-  return it == clients_.end() ? 0 : it->second.queue.occupancy();
+  const ClientState* cs = client_state(client);
+  return cs == nullptr ? 0 : cs->queue.occupancy();
 }
 
 void WgttAp::queue_totals(std::size_t& cyclic_backlog_total,
                           std::size_t& hw_queue_total) const {
-  for (const auto& [client, cs] : clients_) {
-    cyclic_backlog_total += cs.queue.occupancy();
-    hw_queue_total += mac_.queue_depth(cs.radio);
+  for (const auto& cs : clients_) {
+    if (cs == nullptr) continue;
+    cyclic_backlog_total += cs->queue.occupancy();
+    hw_queue_total += mac_.queue_depth(cs->radio);
   }
 }
 
 void WgttAp::set_serving(ClientState& cs, net::ClientId client, bool serving) {
   if (cs.serving == serving) return;
+  settle();
   cs.serving = serving;
+  if (serving) promote(client);
   const auto pos = std::lower_bound(
       serving_clients_.begin(), serving_clients_.end(), client,
       [](net::ClientId a, net::ClientId b) {
@@ -138,11 +255,6 @@ void WgttAp::set_serving(ClientState& cs, net::ClientId client, bool serving) {
   }
 }
 
-WgttAp::ClientState* WgttAp::client_state(net::ClientId client) {
-  auto it = clients_.find(client);
-  return it == clients_.end() ? nullptr : &it->second;
-}
-
 Time WgttAp::draw_delay(Time mean, Time std) {
   const double ns = rng_.normal(static_cast<double>(mean.count_ns()),
                                 static_cast<double>(std.count_ns()));
@@ -151,6 +263,7 @@ Time WgttAp::draw_delay(Time mean, Time std) {
 }
 
 void WgttAp::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
+  settle();
   // Belt and braces: the scenario takes a crashed AP's backhaul link down,
   // so nothing should arrive here — but a dead process handles nothing.
   // A pooled payload reaching a corpse still owns a pool reference, which
@@ -196,12 +309,15 @@ void WgttAp::handle_backhaul(NodeId /*from*/, BackhaulMessage msg) {
 
 void WgttAp::crash() {
   if (crashed_) return;
+  settle();
   crashed_ = true;
   ++stats_.crashes;
   delivered_at_crash_ = mac_.total_stats().mpdus_delivered;
-  for (auto& [client, cs] : clients_) {
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    if (clients_[i] == nullptr) continue;
+    ClientState& cs = *clients_[i];
     cs.queue.clear();
-    set_serving(cs, client, false);
+    set_serving(cs, net::ClientId{static_cast<std::uint32_t>(i)}, false);
     cs.next_index = 0;
     cs.ctl = ControlRecord{};
     cs.seen_ba_uids.clear();
@@ -212,6 +328,7 @@ void WgttAp::crash() {
 
 void WgttAp::restart() {
   if (!crashed_) return;
+  settle();
   crashed_ = false;
   ++stats_.restarts;
   pump_timer_->start(config_.pump_period);
@@ -228,19 +345,22 @@ void WgttAp::handle_downlink(net::DownlinkData&& msg) {
     if (pooled) payload_pool_->drop(msg.handle);
     return;
   }
+  store_downlink(*cs, msg.index,
+                 pooled ? msg.handle
+                        : cs->queue.pool().acquire(std::move(msg.packet)));
+}
+
+void WgttAp::store_downlink(ClientState& cs, std::uint16_t index,
+                            net::PacketPool::Handle handle) {
   ++stats_.downlink_received;
-  const std::uint64_t overwrites_before = cs->queue.overwrites();
-  if (pooled) {
-    cs->queue.put_handle(msg.index, msg.handle);  // adopts the reference
-  } else {
-    cs->queue.put(msg.index, std::move(msg.packet));
-  }
-  stats_.cyclic_overwrites += cs->queue.overwrites() - overwrites_before;
+  const std::uint64_t overwrites_before = cs.queue.overwrites();
+  cs.queue.put_handle(index, handle);  // adopts the reference
+  stats_.cyclic_overwrites += cs.queue.overwrites() - overwrites_before;
   if (metrics_) {
     metrics_->cyclic_occupancy->observe(
-        static_cast<double>(cs->queue.occupancy()));
+        static_cast<double>(cs.queue.occupancy()));
   }
-  if (cs->serving) pump(*cs);
+  if (cs.serving) pump(cs);
 }
 
 void WgttAp::handle_stop(const net::StopMsg& msg) {
@@ -375,6 +495,7 @@ void WgttAp::handle_start(const net::StartMsg& msg) {
         s->ctl.op != CtlOp::kStart) {
       return;  // superseded while we crossed userspace
     }
+    settle();  // the queue's newest index includes every copy arrived so far
     std::uint16_t applied;
     if (config_.start_from_newest && s->queue.newest()) {
       // Queue-management ablation: drop the handed-off backlog on the floor
@@ -440,9 +561,9 @@ void WgttAp::handle_ba_forward(const net::BlockAckForward& msg) {
 void WgttAp::on_heard(const mac::Frame& frame, bool decoded,
                       const channel::CsiMeasurement& csi) {
   if (!decoded) return;
-  auto it = client_of_radio_.find(frame.from);
-  if (it == client_of_radio_.end()) return;
-  const net::ClientId client = it->second;
+  const std::optional<net::ClientId> heard = client_of_radio(frame.from);
+  if (!heard) return;
+  const net::ClientId client = *heard;
 
   // CSI extraction on every decoded client frame (§3.1.1).
   if (csi_reporting_) {

@@ -20,11 +20,24 @@
 // itself, or receive copies from several APs) and merges the bitmap into
 // its transmit scoreboard. CSI from every decoded client frame is reported
 // to the controller (§3.1.1).
+//
+// Deferred fan-out copies (DESIGN.md §10): a copy for a client this AP does
+// not serve waits in the AP's inbox instead of as a scheduler event, and
+// settle() applies it exactly as its delivery event would have, once the
+// clock has passed its (arrival, seq) position. The AP settles before
+// anything reads or changes its delivery state: every backhaul message, the
+// pump tick, crash/restart, register_client, a serving change and
+// set_metrics; the backhaul settles it before the link changes state. A
+// client that starts being served turns its pending entries back into
+// delivery events at their reserved positions, so the pump runs at the
+// instants it would have. Callers reading stats() or the queues from
+// outside an event call settle() first (WgttSystem does).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "ap/cyclic_queue.h"
@@ -41,7 +54,7 @@
 
 namespace wgtt::ap {
 
-class WgttAp {
+class WgttAp final : public net::FanoutSink {
  public:
   struct Config {
     mac::WifiMac::Config mac{};
@@ -115,13 +128,26 @@ class WgttAp {
   WgttAp(net::ApId id, sim::Scheduler& sched, mac::Medium& medium,
          net::Backhaul& backhaul, Rng rng, Config config,
          mac::Medium::PositionFn position);
+  ~WgttAp();
+  WgttAp(const WgttAp&) = delete;
+  WgttAp& operator=(const WgttAp&) = delete;
 
   /// Wires the system-wide payload pool (owned by the scenario; must
   /// outlive the AP). Pooled DownlinkData handles land in cyclic queues
   /// backed by this shared pool instead of the AP-private one, and every
   /// path that discards a pooled message (unknown client, crashed AP)
-  /// drops its reference. Call before register_client.
-  void set_payload_pool(net::PacketPool* pool) { payload_pool_ = pool; }
+  /// drops its reference. Also makes the AP the backhaul's fan-out sink
+  /// for its node. Call before register_client.
+  void set_payload_pool(net::PacketPool* pool);
+
+  /// net::FanoutSink: takes a fan-out copy into the inbox unless its client
+  /// is served here (that copy must pump at its arrival: it stays an event).
+  bool defer(const net::DeferredCopy& copy) override;
+  /// net::FanoutSink: a copy's delivery event — settle, then take it.
+  void receive(const net::DeferredCopy& copy) override;
+  /// Applies every inbox entry the scheduler has passed (see the header
+  /// comment).
+  void settle() override;
 
   /// Maps a peer radio to the owning AP, for BA forwarding (the overheard
   /// BA's destination address names the serving AP's radio). Wired by the
@@ -194,6 +220,19 @@ class WgttAp {
   /// series. nullptr detaches, folding the counts into the registry.
   void set_metrics(obs::MetricsRegistry* registry);
 
+  /// The registry entries set_metrics uses, looked up once: a system wiring
+  /// many APs resolves them once and hands the same set to each.
+  struct Instruments {
+    obs::MetricsRegistry* registry = nullptr;
+    std::vector<obs::Counter*> counters;  // one per bound counter key
+    obs::Histogram* cyclic_occupancy = nullptr;
+    obs::Histogram* stop_to_start = nullptr;
+    obs::Histogram* start_to_ack = nullptr;
+  };
+  [[nodiscard]] static Instruments instruments(obs::MetricsRegistry& registry);
+  /// set_metrics with the entries already resolved.
+  void set_metrics(const Instruments& instruments);
+
  private:
   /// Which side of the handshake the newest epoch put this AP on. An epoch
   /// names exactly one switch, and one AP sees either its stop (it is the
@@ -226,6 +265,16 @@ class WgttAp {
 
   void handle_backhaul(net::NodeId from, net::BackhaulMessage msg);
   void handle_downlink(net::DownlinkData&& msg);
+  /// A fan-out copy reaching this AP at its arrival: the drop rules of the
+  /// delivery path (link down, crashed, unassociated), then store_downlink.
+  void take_copy(const net::DeferredCopy& copy);
+  /// Parks one downlink packet in the client's cyclic queue and pumps if
+  /// the client is served here.
+  void store_downlink(ClientState& cs, std::uint16_t index,
+                      net::PacketPool::Handle handle);
+  /// Turns the client's pending inbox entries into delivery events at
+  /// their reserved positions (it has just become served here).
+  void promote(net::ClientId client);
   void handle_stop(const net::StopMsg& msg);
   void handle_start(const net::StartMsg& msg);
   void handle_ba_forward(const net::BlockAckForward& msg);
@@ -236,7 +285,18 @@ class WgttAp {
   /// Single point through which cs.serving ever changes, keeping the sorted
   /// serving_clients_ list exact.
   void set_serving(ClientState& cs, net::ClientId client, bool serving);
-  ClientState* client_state(net::ClientId client);
+  [[nodiscard]] ClientState* client_state(net::ClientId client) {
+    const std::size_t i = net::index_of(client);
+    return i < clients_.size() ? clients_[i].get() : nullptr;
+  }
+  [[nodiscard]] const ClientState* client_state(net::ClientId client) const {
+    return const_cast<WgttAp*>(this)->client_state(client);
+  }
+  [[nodiscard]] std::optional<net::ClientId> client_of_radio(
+      mac::RadioId radio) const {
+    const auto i = static_cast<std::size_t>(radio);
+    return i < client_of_radio_.size() ? client_of_radio_[i] : std::nullopt;
+  }
   [[nodiscard]] bool ba_seen(ClientState& cs, std::uint64_t uid);
   [[nodiscard]] Time draw_delay(Time mean, Time std);
 
@@ -255,8 +315,16 @@ class WgttAp {
   /// The shared fan-out pool (set_payload_pool), or nullptr for the legacy
   /// per-AP pool above.
   net::PacketPool* payload_pool_ = nullptr;
-  std::unordered_map<net::ClientId, ClientState> clients_;
-  std::unordered_map<mac::RadioId, net::ClientId> client_of_radio_;
+  /// Registered clients by client index (null: not registered here).
+  std::vector<std::unique_ptr<ClientState>> clients_;
+  /// The registered client behind each radio, by radio id.
+  std::vector<std::optional<net::ClientId>> client_of_radio_;
+  /// Deferred fan-out copies; [inbox_head_, end) are pending. Sorted by
+  /// (arrival, seq) whenever inbox_sorted_ (one FIFO flow always arrives
+  /// in order; a second controller or a reorder fault can break it).
+  std::vector<net::DeferredCopy> inbox_;
+  std::size_t inbox_head_ = 0;
+  bool inbox_sorted_ = true;
   /// Clients with cs.serving == true, sorted by client index (see
   /// serving_clients()); maintained only through set_serving.
   std::vector<net::ClientId> serving_clients_;
@@ -274,6 +342,12 @@ class WgttAp {
     obs::SpanTracker start_to_ack;   // start received -> ack sent (new AP)
   };
   std::optional<Metrics> metrics_;
+  /// Every bound counter key and the Stats field it reads.
+  struct CounterKey {
+    std::string_view name;
+    std::uint64_t Stats::*field;
+  };
+  static const std::array<CounterKey, 14> kCounterKeys;
   // Last, so it folds the counts above before they are destroyed.
   obs::CounterBindings counters_;
 };

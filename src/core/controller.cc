@@ -488,8 +488,9 @@ void Controller::send_downlink(net::Packet packet) {
   // no known location, so it still gets the full broadcast. Dead and
   // Recovering APs are evicted from the set either way — packets handed to
   // a corpse are packets lost.
-  std::vector<net::ApId> targets =
-      tracker_.fresh_aps(packet.client, sched_.now(), config_.fanout_freshness);
+  std::vector<net::ApId>& targets = fanout_targets_;
+  tracker_.fresh_aps(packet.client, sched_.now(), config_.fanout_freshness,
+                     targets);
   if (targets.empty()) {
     if (config_.bounded_fallback && spatial_ != nullptr && cs.anchor_ap >= 0 &&
         static_cast<std::size_t>(cs.anchor_ap) < ap_neighbors_.size()) {
@@ -512,21 +513,18 @@ void Controller::send_downlink(net::Packet packet) {
   }
   if (payload_pool_ != nullptr) {
     // Single-copy fan-out (DESIGN.md §10): the payload enters the pool
-    // once; every target gets a 4-byte handle plus one reference. The
-    // wire size is cached in the message so backhaul latency accounting
-    // never touches the pool.
-    const auto tunnel_bytes = static_cast<std::uint32_t>(packet.tunnel_bytes());
-    const net::PacketPool::Handle h = payload_pool_->acquire(std::move(packet));
-    for (net::ApId ap : targets) {
-      ++stats_.downlink_fanout_copies;
-      payload_pool_->add_ref(h);
-      net::DownlinkData msg;
-      msg.index = index;
-      msg.handle = h;
-      msg.tunnel_bytes = tunnel_bytes;
-      backhaul_.send(self_node(), NodeId::ap(ap), std::move(msg));
-    }
-    payload_pool_->drop(h);  // the acquisition reference; targets hold theirs
+    // once; every target gets a 4-byte handle plus one reference, in one
+    // backhaul call. The wire size is cached so backhaul latency
+    // accounting never touches the pool.
+    net::FanoutCopy copy;
+    copy.client = packet.client;
+    copy.index = index;
+    copy.tunnel_bytes = static_cast<std::uint32_t>(packet.tunnel_bytes());
+    copy.handle = payload_pool_->acquire(std::move(packet));
+    stats_.downlink_fanout_copies += targets.size();
+    backhaul_.fan_out(self_node(), targets, copy);
+    // The acquisition reference; targets hold theirs.
+    payload_pool_->drop(copy.handle);
   } else {
     for (net::ApId ap : targets) {
       ++stats_.downlink_fanout_copies;

@@ -495,6 +495,8 @@ class Controller {
   net::Backhaul& backhaul_;
   Config config_;
   net::PacketPool* payload_pool_ = nullptr;
+  /// send_downlink's fan-out set, reused across packets.
+  std::vector<net::ApId> fanout_targets_;
   EsnrTracker tracker_;
   std::vector<net::ApId> aps_;
   // Per-client state lives in a dense slab indexed by net::index_of(client)

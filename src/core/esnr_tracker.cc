@@ -114,14 +114,20 @@ std::optional<double> EsnrTracker::last_value(net::ClientId client,
 std::vector<net::ApId> EsnrTracker::fresh_aps(net::ClientId client, Time now,
                                               Time freshness) {
   std::vector<net::ApId> out;
+  fresh_aps(client, now, freshness, out);
+  return out;
+}
+
+void EsnrTracker::fresh_aps(net::ClientId client, Time now, Time freshness,
+                            std::vector<net::ApId>& out) {
+  out.clear();
   auto it = clients_.find(client);
-  if (it == clients_.end()) return out;
+  if (it == clients_.end()) return;
   const PerClient& pc = it->second;
   for (const Link& l : pc.links) {
     if (!in_reach(pc, l.ap)) continue;
     if (now - l.last_heard <= freshness) out.push_back(l.ap);
   }
-  return out;
 }
 
 }  // namespace wgtt::core

@@ -57,6 +57,10 @@ class EsnrTracker {
   /// downlink fan-out set (paper §3.1.2 footnote 1).
   [[nodiscard]] std::vector<net::ApId> fresh_aps(net::ClientId client, Time now,
                                                  Time freshness);
+  /// The same set, written into `out` (cleared first) so a per-packet
+  /// caller reuses one buffer.
+  void fresh_aps(net::ClientId client, Time now, Time freshness,
+                 std::vector<net::ApId>& out);
 
   /// When this link last produced CSI (any age), if ever.
   [[nodiscard]] std::optional<Time> last_heard(net::ClientId client,

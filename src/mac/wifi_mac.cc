@@ -42,33 +42,53 @@ WifiMac::WifiMac(sim::Scheduler& sched, Medium& medium, Rng rng, Config config)
                                            sim::EventCategory::kMacTx);
 }
 
+const std::array<WifiMac::CounterKey, 10> WifiMac::kCounterKeys = {{
+    // Per-peer facts are read through total_stats(): no MAC-wide copy.
+    {"ampdus_sent", &total_of<&PeerStats::ampdus_sent>},
+    {"retransmissions", &total_of<&PeerStats::retransmissions>},
+    {"mpdus_delivered", &total_of<&PeerStats::mpdus_delivered>},
+    {"mpdus_delivered_via_forwarded_ba",
+     &total_of<&PeerStats::mpdus_delivered_via_forwarded_ba>},
+    {"mpdus_dropped_retry", &total_of<&PeerStats::mpdus_dropped_retry>},
+    {"enqueue_drops", &total_of<&PeerStats::enqueue_drops>},
+    {"ba_timeouts", &total_of<&PeerStats::ba_timeouts>},
+    {"ba_injected", &field_of<&WifiMac::ba_injected_>},
+    {"ba_heard", &field_of<&WifiMac::ba_heard_>},
+    {"ba_collisions", &field_of<&WifiMac::ba_collided_>},
+}};
+
+WifiMac::Instruments WifiMac::instruments(obs::MetricsRegistry& registry,
+                                          std::string_view component) {
+  const std::string prefix = std::string(component) + ".";
+  Instruments in;
+  in.registry = &registry;
+  for (const CounterKey& k : kCounterKeys) {
+    in.counters.push_back(&registry.counter(prefix + std::string(k.name)));
+  }
+  in.ampdu_mpdus = &registry.histogram(prefix + "ampdu_mpdus", 0.0, 33.0, 33);
+  in.hw_queue_depth =
+      &registry.histogram(prefix + "hw_queue_depth", 0.0, 160.0, 160);
+  return in;
+}
+
 void WifiMac::set_metrics(obs::MetricsRegistry* registry,
                           std::string_view component) {
+  if (registry == nullptr) {
+    counters_.release();
+    metrics_.reset();
+    return;
+  }
+  set_metrics(instruments(*registry, component));
+}
+
+void WifiMac::set_metrics(const Instruments& instruments) {
   counters_.release();
   metrics_.reset();
-  if (registry == nullptr) return;
-  obs::MetricsRegistry& r = *registry;
-  const std::string prefix = std::string(component) + ".";
-  // Per-peer facts are read through total_stats(): no MAC-wide copy.
-  auto bind_total = [&](std::string_view name,
-                        std::uint64_t (*read)(const void*)) {
-    counters_.bind(r, prefix + std::string(name), this, read);
-  };
-  bind_total("ampdus_sent", &total_of<&PeerStats::ampdus_sent>);
-  bind_total("retransmissions", &total_of<&PeerStats::retransmissions>);
-  bind_total("mpdus_delivered", &total_of<&PeerStats::mpdus_delivered>);
-  bind_total("mpdus_delivered_via_forwarded_ba",
-             &total_of<&PeerStats::mpdus_delivered_via_forwarded_ba>);
-  bind_total("mpdus_dropped_retry", &total_of<&PeerStats::mpdus_dropped_retry>);
-  bind_total("enqueue_drops", &total_of<&PeerStats::enqueue_drops>);
-  bind_total("ba_timeouts", &total_of<&PeerStats::ba_timeouts>);
-  counters_.bind(r, prefix + "ba_injected", ba_injected_);
-  counters_.bind(r, prefix + "ba_heard", ba_heard_);
-  counters_.bind(r, prefix + "ba_collisions", ba_collided_);
-  Metrics m;
-  m.ampdu_mpdus = &r.histogram(prefix + "ampdu_mpdus", 0.0, 33.0, 33);
-  m.hw_queue_depth = &r.histogram(prefix + "hw_queue_depth", 0.0, 160.0, 160);
-  metrics_ = m;
+  for (std::size_t i = 0; i < kCounterKeys.size(); ++i) {
+    counters_.bind(*instruments.registry, *instruments.counters[i], this,
+                   kCounterKeys[i].read);
+  }
+  metrics_ = Metrics{instruments.ampdu_mpdus, instruments.hw_queue_depth};
 }
 
 RadioId WifiMac::attach(Medium::PositionFn position) {

@@ -14,6 +14,7 @@
 //    scoreboard, suppressing spurious retransmissions (§3.2.1).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -170,6 +171,20 @@ class WifiMac {
   /// the registry.
   void set_metrics(obs::MetricsRegistry* registry, std::string_view component);
 
+  /// The registry entries set_metrics uses for one component prefix, looked
+  /// up once: a system wiring many radios of one role resolves them once
+  /// and hands the same set to each.
+  struct Instruments {
+    obs::MetricsRegistry* registry = nullptr;
+    std::vector<obs::Counter*> counters;  // one per bound counter key
+    obs::Histogram* ampdu_mpdus = nullptr;
+    obs::Histogram* hw_queue_depth = nullptr;
+  };
+  [[nodiscard]] static Instruments instruments(obs::MetricsRegistry& registry,
+                                               std::string_view component);
+  /// set_metrics with the entries already resolved.
+  void set_metrics(const Instruments& instruments);
+
   // --- upward callbacks ----------------------------------------------------
   /// A decoded, non-duplicate data MPDU addressed to this radio (or its
   /// BSSID).
@@ -297,6 +312,16 @@ class WifiMac {
     }
     return n;
   }
+  template <std::uint64_t WifiMac::*Field>
+  static std::uint64_t field_of(const void* mac) {
+    return static_cast<const WifiMac*>(mac)->*Field;
+  }
+  /// Every bound counter key (after the component prefix) and its read.
+  struct CounterKey {
+    std::string_view name;
+    std::uint64_t (*read)(const void*);
+  };
+  static const std::array<CounterKey, 10> kCounterKeys;
   // Last, so it folds the counts above before they are destroyed.
   obs::CounterBindings counters_;
 };

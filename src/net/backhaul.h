@@ -39,13 +39,20 @@
 // every path that destroys a message without delivering it (loss, queue
 // bound, downed link, missing handler) drops its reference; duplication
 // adds one.
+//
+// Deferred fan-out (DESIGN.md §10): fan_out() sends one pooled downlink
+// packet to many APs. Each copy takes exactly the drops, draws, FIFO clamp
+// and scheduler position a send() would give it, but a copy whose
+// destination has a FanoutSink that takes it becomes an entry in that AP's
+// inbox rather than a delivery event; the AP applies it once the clock has
+// passed its (arrival, seq) position.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/messages.h"
@@ -75,6 +82,49 @@ struct FaultPlan {
   /// survive that.
   double reorder_rate = 0.0;
   Time reorder_max = Time::zero();
+};
+
+/// One pooled downlink packet as fan_out() hands it to every target.
+struct FanoutCopy {
+  ClientId client{};
+  std::uint16_t index = 0;  // m = 12-bit index number
+  PacketPool::Handle handle = PacketPool::kNullHandle;
+  std::uint32_t tunnel_bytes = 0;  // wire size
+};
+
+/// A fan-out copy parked at its destination instead of a delivery event.
+/// (arrival, seq) is exactly the scheduler position the event would have
+/// had; the entry owns one payload reference.
+struct DeferredCopy {
+  Time arrival;
+  std::uint64_t seq = 0;
+  ClientId client{};
+  std::uint16_t index = 0;
+  PacketPool::Handle handle = PacketPool::kNullHandle;
+
+  [[nodiscard]] friend bool operator<(const DeferredCopy& a,
+                                      const DeferredCopy& b) {
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.seq < b.seq;
+  }
+};
+
+/// A node that takes fan-out copies itself, holding those it can in an
+/// inbox (DESIGN.md §10). Fan-out copies for a node with a sink never reach
+/// its backhaul handler.
+class FanoutSink {
+ public:
+  /// Takes `copy` (and its payload reference) into the inbox, or returns
+  /// false to have the backhaul schedule a delivery event that calls
+  /// receive() at the copy's (arrival, seq).
+  virtual bool defer(const DeferredCopy& copy) = 0;
+  /// A copy's delivery event: the copy reaches the node now.
+  virtual void receive(const DeferredCopy& copy) = 0;
+  /// Applies, in (arrival, seq) order, every inbox entry the scheduler has
+  /// passed. The backhaul calls it before it changes the node's link state.
+  virtual void settle() = 0;
+
+ protected:
+  ~FanoutSink() = default;
 };
 
 class Backhaul {
@@ -131,6 +181,24 @@ class Backhaul {
   /// simulator. Sending to an unattached node is an error.
   void send(NodeId from, NodeId to, BackhaulMessage msg);
 
+  /// Sends one copy of a pooled downlink packet to each of `targets`, in
+  /// order, exactly as one send() of a pooled DownlinkData per target would
+  /// (same drops, fault and jitter draws, FIFO clamps and scheduler
+  /// sequence numbers), adding one payload reference per target. A copy the
+  /// target's FanoutSink takes is deferred instead of scheduled. Needs a
+  /// payload pool; with batching on, every copy takes send().
+  void fan_out(NodeId from, std::span<const ApId> targets,
+               const FanoutCopy& copy);
+
+  /// Routes fan-out copies for `ap` through `sink` (nullptr detaches). The
+  /// sink must detach before it is destroyed.
+  void set_fanout_sink(ApId ap, FanoutSink* sink);
+
+  /// Accounts a deferred copy that reached its node while the link was
+  /// down: counted as a link drop, its payload reference dropped — what
+  /// the delivery event would have done.
+  void drop_on_downed_link(PacketPool::Handle handle);
+
   /// Marks a node's backhaul link up or down (all links start up). While
   /// down, sends from or to the node are dropped at send time, and messages
   /// already in flight toward it are dropped at delivery time — a cable cut
@@ -138,7 +206,8 @@ class Backhaul {
   /// never consumes RNG draws, so fault-free runs stay bit-identical.
   void set_node_up(NodeId node, bool up);
   [[nodiscard]] bool node_up(NodeId node) const {
-    return !down_nodes_.contains(node);
+    const Node* n = find_node(node);
+    return n == nullptr || !n->down;
   }
 
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
@@ -171,6 +240,54 @@ class Backhaul {
            std::hash<NodeId>{}(to);
   }
 
+  /// Per-node state, dense by node kind and index.
+  struct Node {
+    Handler handler;
+    FanoutSink* sink = nullptr;
+    bool attached = false;
+    bool down = false;
+  };
+  [[nodiscard]] const Node* find_node(NodeId node) const {
+    const auto& nodes = nodes_[static_cast<std::size_t>(node.kind)];
+    return node.index < nodes.size() ? &nodes[node.index] : nullptr;
+  }
+  [[nodiscard]] Node* find_node(NodeId node) {
+    auto& nodes = nodes_[static_cast<std::size_t>(node.kind)];
+    return node.index < nodes.size() ? &nodes[node.index] : nullptr;
+  }
+  Node& node(NodeId node);
+  [[nodiscard]] bool attached(NodeId node) const {
+    const Node* n = find_node(node);
+    return n != nullptr && n->attached;
+  }
+  [[nodiscard]] bool down(NodeId node) const { return !node_up(node); }
+
+  /// The FIFO watermark (latest scheduled arrival) of the flow from `from`
+  /// to `to`; below any arrival until the flow's first message. Flows are
+  /// told apart by flow_key(). Keys below kDenseFlowRows << 32 — the
+  /// controller -> AP fan-out flows among them — live in dense rows, the
+  /// rest in a map.
+  Time& watermark(NodeId from, NodeId to);
+  /// Clamps `arrival` behind the flow's watermark and advances it, unless
+  /// `bypass_fifo` (a reorder-faulted message).
+  Time clamp_to_flow(NodeId from, NodeId to, Time arrival, bool bypass_fifo);
+
+  /// send()'s admission stage for a message of `kind` and `bytes`: counts
+  /// it, then applies link-down, loss, drop-first, fault-loss and link
+  /// queue drops (counted) in that order. On admission sets the link
+  /// model's queueing delay and serialization time.
+  [[nodiscard]] bool admit(NodeId from, NodeId to, MsgKind kind, double bytes,
+                           Time& queue_wait, double& ser_us);
+
+  /// An admitted unbatched message's arrival and fault draws.
+  struct Route {
+    Time arrival;
+    bool reorder = false;
+    bool duplicate = false;
+  };
+  [[nodiscard]] Route draw_route(const FaultPlan& plan, Time queue_wait,
+                                 double ser_us);
+
   /// Drops / adds the payload-pool reference of a pooled DownlinkData.
   /// No-ops for by-value messages or while no pool is wired.
   void drop_payload(const BackhaulMessage& msg);
@@ -180,6 +297,11 @@ class Backhaul {
   /// unless `bypass_fifo` (a reorder-faulted message) is set.
   void deliver(NodeId from, NodeId to, BackhaulMessage msg, Time arrival,
                bool bypass_fifo = false);
+  /// deliver() for one fan-out copy: deferred when the target's sink takes
+  /// it, otherwise scheduled — to the sink when there is one, parked for
+  /// the handler when not.
+  void deliver_copy(NodeId from, NodeId to, const FanoutCopy& copy,
+                    Time arrival, bool bypass_fifo);
 
   // Batching machinery.
   void flush_batch(std::uint64_t key);
@@ -224,17 +346,20 @@ class Backhaul {
   Config config_;
   Rng rng_;
   PacketPool* payload_pool_ = nullptr;
-  std::unordered_map<NodeId, Handler> handlers_;
+  std::array<std::vector<Node>, 2> nodes_;  // by NodeId::Kind, then index
+  std::size_t num_down_ = 0;
   std::vector<PendingDelivery> in_flight_;    // grows to the high-water mark
   std::vector<std::uint32_t> free_in_flight_;
   std::vector<PendingBatch> batch_in_flight_;
   std::vector<std::uint32_t> free_batch_in_flight_;
   // FIFO discipline per (src, dst): a switched-Ethernet path never reorders
-  // packets of one flow, and the WGTT index stream depends on that.
+  // packets of one flow, and the WGTT index stream depends on that. See
+  // watermark().
+  static constexpr std::uint64_t kDenseFlowRows = 16;
+  std::array<std::vector<Time>, kDenseFlowRows> dense_watermarks_;
   std::unordered_map<std::uint64_t, Time> last_delivery_;
   std::unordered_map<std::uint64_t, LinkState> links_;
   std::unordered_map<std::uint64_t, Batch> batches_;
-  std::unordered_set<NodeId> down_nodes_;
   std::array<int, kNumMsgKinds> drop_first_remaining_{};
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;

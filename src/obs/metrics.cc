@@ -196,6 +196,17 @@ void CounterBindings::bind(MetricsRegistry& registry, std::string_view key,
 void CounterBindings::bind(MetricsRegistry& registry, std::string_view key,
                            const void* owner,
                            std::uint64_t (*read)(const void*)) {
+  bind(registry, registry.counter(key), owner, read);
+}
+
+void CounterBindings::bind(MetricsRegistry& registry, Counter& counter,
+                           const std::uint64_t& source) {
+  bind(registry, counter, &source, nullptr);
+}
+
+void CounterBindings::bind(MetricsRegistry& registry, Counter& counter,
+                           const void* owner,
+                           std::uint64_t (*read)(const void*)) {
   if (registry_ != &registry) release();  // one registry at a time
   registry_ = &registry;
   Counter::Source s{owner, read, 0, this};
@@ -204,10 +215,9 @@ void CounterBindings::bind(MetricsRegistry& registry, std::string_view key,
   // per AP: reserving skips most of the regrowth copies.
   if (counters_.empty()) counters_.reserve(16);
   std::scoped_lock lock(registry.mu_);
-  Counter& c = registry.counter_locked(key);
-  if (c.sources_.empty()) c.sources_.reserve(8);
-  c.sources_.push_back(s);
-  counters_.push_back(&c);
+  if (counter.sources_.empty()) counter.sources_.reserve(8);
+  counter.sources_.push_back(s);
+  counters_.push_back(&counter);
 }
 
 void CounterBindings::release() {

@@ -216,6 +216,12 @@ class CounterBindings {
   /// (a sum over peers, say); `owner` outlives the binding.
   void bind(MetricsRegistry& registry, std::string_view key, const void* owner,
             std::uint64_t (*read)(const void*));
+  /// The same, for a counter already looked up in `registry` (a system
+  /// binding many components to one key resolves it once).
+  void bind(MetricsRegistry& registry, Counter& counter,
+            const std::uint64_t& source);
+  void bind(MetricsRegistry& registry, Counter& counter, const void* owner,
+            std::uint64_t (*read)(const void*));
   /// Folds every bound source's growth into its counter and unbinds it.
   void release();
 

@@ -282,6 +282,7 @@ ParallelCityResult run_parallel_city(const ParallelCityConfig& config) {
   double total_mbps = 0.0;
   for (int c = 0; c < C; ++c) {
     Corridor& corr = corridors[static_cast<std::size_t>(c)];
+    corr.sys->settle();
     for (int i = 0; i < ncli; ++i) {
       const transport::UdpSink& sink =
           config.uplink

@@ -209,12 +209,18 @@ void WgttSystem::enable_metrics(obs::MetricsRegistry& registry,
   // Controllers share instruments by key, so multi-domain counters
   // aggregate across domains in one registry entry.
   for (auto& ctrl : controllers_) ctrl->set_metrics(&registry);
+  // Each key is looked up once per system, not once per AP or radio.
+  const ap::WgttAp::Instruments ap_keys = ap::WgttAp::instruments(registry);
+  const mac::WifiMac::Instruments mac_keys =
+      mac::WifiMac::instruments(registry, "mac");
   for (auto& ap : aps_) {
-    ap->set_metrics(&registry);
-    ap->mac().set_metrics(&registry, "mac");
+    ap->set_metrics(ap_keys);
+    ap->mac().set_metrics(mac_keys);
   }
-  for (auto& client : clients_) {
-    client->mac().set_metrics(&registry, "client_mac");
+  if (!clients_.empty()) {
+    const mac::WifiMac::Instruments client_keys =
+        mac::WifiMac::instruments(registry, "client_mac");
+    for (auto& client : clients_) client->mac().set_metrics(client_keys);
   }
   // Pre-register the sampled gauges so a snapshot taken before the first
   // sampler tick already carries the keys.
@@ -240,6 +246,7 @@ void WgttSystem::enable_metrics(obs::MetricsRegistry& registry,
 
 void WgttSystem::sample_system_metrics() {
   if (metrics_ == nullptr) return;
+  settle();
   std::size_t backlog = 0;
   std::size_t hw_depth = 0;
   for (const auto& ap : aps_) ap->queue_totals(backlog, hw_depth);
@@ -478,10 +485,24 @@ const core::Controller& WgttSystem::ap_controller(std::size_t a) const {
 }
 
 void WgttSystem::server_send(net::Packet packet) {
+  // The packet waits in a free-listed slab and the event captures only
+  // (this, slot): a captured 96 B Packet would not fit InlineCallback's
+  // inline buffer and would cost a heap allocation per packet.
+  std::uint32_t slot;
+  if (free_server_sends_.empty()) {
+    slot = static_cast<std::uint32_t>(server_sends_.size());
+    server_sends_.push_back(std::move(packet));
+  } else {
+    slot = free_server_sends_.back();
+    free_server_sends_.pop_back();
+    server_sends_[slot] = std::move(packet);
+  }
   sched_.schedule_in(config_.server_latency,
-                     [this, p = std::move(packet)] {
+                     [this, slot] {
+                       net::Packet p = std::move(server_sends_[slot]);
+                       free_server_sends_.push_back(slot);
                        route_controller(static_cast<int>(net::index_of(p.client)))
-                           .send_downlink(p);
+                           .send_downlink(std::move(p));
                      },
                      sim::EventCategory::kBackhaul);
 }
@@ -494,6 +515,7 @@ int WgttSystem::serving_ap(int client) const {
 
 InvariantReport WgttSystem::check_invariants(Time stall_bound,
                                              Time serving_grace) const {
+  settle();
   InvariantReport report;
   const Time now = sched_.now();
   // An AP is `settled` when its serving flags are trustworthy evidence:

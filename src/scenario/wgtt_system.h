@@ -171,8 +171,20 @@ class WgttSystem {
   /// starts their background probing. Call once after add_client calls.
   void start();
 
-  /// Runs the simulation until `t`.
-  void run_until(Time t) { sched_.run_until(t); }
+  /// Runs the simulation until `t`, then settles every AP's deferred
+  /// fan-out copies, so the state read afterwards is exact.
+  void run_until(Time t) {
+    sched_.run_until(t);
+    settle();
+  }
+
+  /// Applies every deferred fan-out copy the clock has passed, at every AP
+  /// (WgttAp::settle, DESIGN.md §10). The system's own readers — the
+  /// metrics sampler, check_invariants, run_until — call it; so must any
+  /// caller reading AP queues or counters after driving sched() directly.
+  void settle() const {
+    for (const auto& ap : aps_) ap->settle();
+  }
 
   /// Wires every component (controller, APs, AP MACs, client MACs — also
   /// clients added afterwards) into `registry` and starts a periodic
@@ -305,6 +317,9 @@ class WgttSystem {
   /// check_invariants grants a settle window after it.
   std::optional<Time> last_controller_fault_;
   bool started_ = false;
+  /// Packets between server_send() and their controller, by event slot.
+  std::vector<net::Packet> server_sends_;
+  std::vector<std::uint32_t> free_server_sends_;
 
   void sample_system_metrics();
   obs::MetricsRegistry* metrics_ = nullptr;

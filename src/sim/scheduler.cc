@@ -14,8 +14,18 @@ constexpr std::uint64_t make_id(std::uint32_t slot, std::uint32_t generation) {
 EventId Scheduler::schedule_at(Time when, InlineCallback fn,
                                EventCategory cat) {
   if (when < now_) when = now_;
-  const std::uint64_t seq = next_seq_++;
+  return arm(when, next_seq_++, std::move(fn), cat);
+}
 
+EventId Scheduler::schedule_reserved(Time when, std::uint64_t seq,
+                                     InlineCallback fn, EventCategory cat) {
+  assert(seq < next_seq_ && !passed(when, seq) &&
+         "a reserved event must not precede the one executing");
+  return arm(when, seq, std::move(fn), cat);
+}
+
+EventId Scheduler::arm(Time when, std::uint64_t seq, InlineCallback fn,
+                       EventCategory cat) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -76,6 +86,8 @@ bool Scheduler::step() {
     s.armed = false;
     --live_;
     now_ = top.when;
+    frontier_when_ = top.when;
+    frontier_seq_ = top.seq;
     ++executed_;
     fn();
     if (profiler_ != nullptr) {
@@ -101,6 +113,7 @@ void Scheduler::run_until(Time limit) {
     step();
   }
   if (now_ < limit) now_ = limit;
+  raise_frontier(limit, UINT64_MAX);
 }
 
 void Scheduler::run_before(Time limit) {
@@ -113,6 +126,7 @@ void Scheduler::run_before(Time limit) {
     if (top.when >= limit) break;
     step();
   }
+  raise_frontier(limit, 0);
   // The clock deliberately stays at the last executed event: a later window
   // may inject mailbox events anywhere in [now, its window end), and
   // schedule_at must not clamp them forward.
@@ -126,6 +140,13 @@ Time Scheduler::next_event_time() {
 void Scheduler::run_all() {
   while (step()) {
   }
+  raise_frontier(Time::max(), UINT64_MAX);
+}
+
+void Scheduler::raise_frontier(Time when, std::uint64_t seq) {
+  if (passed(when, seq)) return;
+  frontier_when_ = when;
+  frontier_seq_ = seq;
 }
 
 void Scheduler::pop_top() {

@@ -51,6 +51,27 @@ class Scheduler {
   EventId schedule_in(Time delay, InlineCallback fn,
                       EventCategory cat = EventCategory::kOther);
 
+  /// Takes the next FIFO sequence number without scheduling anything: the
+  /// caller holds the position an event scheduled now would take, and may
+  /// later either arm an event there (schedule_reserved) or settle the work
+  /// itself once the clock has passed it (passed()). The backhaul's
+  /// deferred fan-out copies (DESIGN.md §10) use this so that every real
+  /// event keeps the sequence number it would have had without deferral.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules `fn` at (`when`, `seq`) for a `seq` taken by reserve_seq().
+  /// (when, seq) must not precede the event executing now.
+  EventId schedule_reserved(Time when, std::uint64_t seq, InlineCallback fn,
+                            EventCategory cat = EventCategory::kOther);
+
+  /// Whether an event at (`when`, `seq`) would already have run: it orders
+  /// before the event executing now, or — between runs — within the limit
+  /// of the last run_until / run_before / run_all.
+  [[nodiscard]] bool passed(Time when, std::uint64_t seq) const {
+    return when < frontier_when_ ||
+           (when == frontier_when_ && seq < frontier_seq_);
+  }
+
   /// Cancels a pending event in O(1), releasing its captures immediately.
   /// Cancelling an already-fired, already-cancelled, unknown, or
   /// default-constructed id is a no-op (timeout races make that the common
@@ -126,6 +147,10 @@ class Scheduler {
     return a.seq < b.seq;
   }
 
+  EventId arm(Time when, std::uint64_t seq, InlineCallback fn,
+              EventCategory cat);
+  /// Moves passed()'s bound up to (when, seq) unless it is already there.
+  void raise_frontier(Time when, std::uint64_t seq);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Removes heap_[0] (swap-with-last + sift) and recycles its slot.
@@ -141,6 +166,10 @@ class Scheduler {
   std::size_t live_ = 0;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
+  // passed()'s bound: the executing event's key inside step(), the run
+  // limit after a run returns.
+  Time frontier_when_ = Time::zero();
+  std::uint64_t frontier_seq_ = 0;
   std::uint64_t executed_ = 0;
   EventProfiler* profiler_ = nullptr;
   /// The profiler clock's last read; the next event is charged the delta

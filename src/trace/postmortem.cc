@@ -27,6 +27,7 @@ bool write_postmortem(const std::string& dir, scenario::WgttSystem& system,
                       const scenario::InvariantReport& report,
                       const Tracer* tracer,
                       const obs::MetricsRegistry* metrics) {
+  system.settle();  // the bundle shows every copy delivered so far
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return false;

@@ -45,6 +45,7 @@ void TimelineRecorder::stop() {
 }
 
 void TimelineRecorder::tick() {
+  system_.settle();  // the sample reflects every copy delivered so far
   const Time now = system_.sched().now();
   const auto debug = system_.controller().client_debug();
   auto& tracker = system_.controller().tracker();

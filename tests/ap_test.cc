@@ -3,12 +3,18 @@
 // drop, and block-ACK forwarding with de-duplication.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "ap/cyclic_queue.h"
 #include "ap/wgtt_ap.h"
 #include "mac/medium.h"
 #include "net/backhaul.h"
+#include "obs/metrics.h"
 #include "sim/scheduler.h"
 #include "util/rng.h"
 
@@ -447,6 +453,330 @@ TEST_F(WgttApTest, ForwardedBaDeduplicated) {
   sched_.run_until(Time::ms(100));
   EXPECT_EQ(ap0_->stats().ba_forward_received, 2u);
   EXPECT_EQ(ap0_->stats().ba_forward_duplicate, 1u);
+}
+
+
+// --- Deferred fan-out delivery ----------------------------------------------
+// A fan-out copy for a client an AP does not serve waits in the AP's inbox
+// instead of as a delivery event (DESIGN.md §10). Each case runs one script
+// on two rigs: one deferring, and an eager reference whose APs are detached
+// as fan-out sinks so that every copy is a delivery event. Everything the
+// APs, the pool, the backhaul and the client show must match.
+
+class FanoutRig {
+ public:
+  static constexpr int kAps = 3;
+  static constexpr ClientId kClient{0};
+
+  FanoutRig(bool deferred, const net::Backhaul::Config& bh,
+            const WgttAp::Config& ap_config = {})
+      : medium_(sched_, {}), backhaul_(sched_, bh, Rng{99}) {
+    net::reset_packet_uids();
+    backhaul_.set_payload_pool(&pool_);
+    backhaul_.attach(NodeId::controller(),
+                     [this](NodeId, BackhaulMessage) { ++controller_msgs_; });
+    for (int i = 0; i < kAps; ++i) {
+      auto ap = std::make_unique<WgttAp>(
+          ApId{static_cast<std::uint32_t>(i)}, sched_, medium_, backhaul_,
+          Rng{static_cast<std::uint64_t>(i) + 5}, ap_config,
+          [i] { return channel::Vec2{i * 7.5, 15.0}; });
+      ap->mac().set_channel_sampler(
+          [this](mac::RadioId) { return flat_csi(40.0, sched_.now()); });
+      ap->set_payload_pool(&pool_);
+      if (!deferred) {
+        backhaul_.set_fanout_sink(ApId{static_cast<std::uint32_t>(i)}, nullptr);
+      }
+      targets_.push_back(ApId{static_cast<std::uint32_t>(i)});
+      aps_.push_back(std::move(ap));
+    }
+    client_mac_ = std::make_unique<mac::WifiMac>(
+        sched_, medium_, Rng{777},
+        mac::WifiMac::Config{.shared_rx_scoreboard = true});
+    const mac::RadioId radio =
+        client_mac_->attach([] { return channel::Vec2{7.5, 0.0}; });
+    client_mac_->set_channel_sampler(
+        [this](mac::RadioId) { return flat_csi(40.0, sched_.now()); });
+    client_mac_->set_tx_to_bssid(true);
+    client_mac_->add_peer(mac::kBssidWgtt);
+    client_mac_->on_deliver = [this](mac::RadioId, const net::Packet& p) {
+      rx_ << p.uid << '@' << sched_.now().count_ns() << ' ';
+    };
+    for (auto& ap : aps_) ap->register_client(kClient, radio);
+  }
+
+  sim::Scheduler& sched() { return sched_; }
+  net::Backhaul& backhaul() { return backhaul_; }
+  WgttAp& ap(int i) { return *aps_[static_cast<std::size_t>(i)]; }
+
+  /// What the controller does per downlink packet: acquire once, fan out
+  /// to every AP, drop the acquisition reference.
+  void fan_out() {
+    net::Packet p = data_packet(kClient, sched_.now());
+    const std::uint16_t index = next_index_++;
+    net::FanoutCopy copy;
+    copy.client = kClient;
+    copy.index = index;
+    copy.tunnel_bytes = static_cast<std::uint32_t>(p.tunnel_bytes());
+    copy.handle = pool_.acquire(std::move(p));
+    backhaul_.fan_out(NodeId::controller(), targets_, copy);
+    pool_.drop(copy.handle);
+  }
+  /// `n` fan-outs, `period` apart, from `t0`.
+  void stream(Time t0, Time period, int n) {
+    for (int i = 0; i < n; ++i) {
+      sched_.schedule_at(t0 + period * i, [this] { fan_out(); });
+    }
+  }
+  void at(Time t, std::function<void()> fn) {
+    sched_.schedule_at(t, [fn = std::move(fn)] { fn(); });
+  }
+  /// A reading taken inside an event; settles first, as a reader must.
+  void observe() {
+    for (auto& ap : aps_) ap->settle();
+    for (auto& ap : aps_) notes_ << ap->cyclic_backlog(kClient) << ' ';
+    notes_ << '|';
+  }
+  /// Sends the controller's bootstrap start for the client to AP `i`.
+  void start(int i, std::uint16_t k, std::uint32_t epoch) {
+    backhaul_.send(NodeId::controller(),
+                   NodeId::ap(ApId{static_cast<std::uint32_t>(i)}),
+                   net::StartMsg{kClient, ApId{0}, k, epoch});
+  }
+  void stop(int i, int new_ap, std::uint32_t epoch) {
+    backhaul_.send(NodeId::controller(),
+                   NodeId::ap(ApId{static_cast<std::uint32_t>(i)}),
+                   net::StopMsg{kClient, ApId{static_cast<std::uint32_t>(new_ap)},
+                                epoch});
+  }
+
+  /// Everything observable after running to `t`.
+  std::string run_and_describe(Time t) {
+    sched_.run_until(t);
+    for (auto& ap : aps_) ap->settle();
+    std::ostringstream os;
+    for (const auto& ap : aps_) {
+      const WgttAp::Stats& s = ap->stats();
+      os << "ap" << net::index_of(ap->id()) << " received=" << s.downlink_received
+         << " overwrites=" << s.cyclic_overwrites << " stale=" << s.stale_dropped
+         << " pumped=" << s.pump_enqueued << " stops=" << s.stops_handled
+         << " starts=" << s.starts_handled << " crashes=" << s.crashes
+         << " restarts=" << s.restarts << " serving=" << ap->serving(kClient)
+         << " backlog=" << ap->cyclic_backlog(kClient)
+         << " delivered=" << ap->mac().total_stats().mpdus_delivered << '\n';
+    }
+    os << "pool in_use=" << pool_.in_use() << " refs=" << pool_.total_refs()
+       << '\n';
+    os << "backhaul sent=" << backhaul_.messages_sent()
+       << " dropped=" << backhaul_.messages_dropped()
+       << " link_dropped=" << backhaul_.link_dropped()
+       << " fault_dropped=" << backhaul_.fault_dropped()
+       << " duplicated=" << backhaul_.messages_duplicated()
+       << " delayed=" << backhaul_.messages_delayed()
+       << " reordered=" << backhaul_.messages_reordered()
+       << " to_controller=" << controller_msgs_ << '\n';
+    os << "client " << rx_.str() << '\n';
+    os << "notes " << notes_.str() << '\n';
+    return os.str();
+  }
+
+  [[nodiscard]] std::uint64_t events() const { return sched_.events_executed(); }
+
+ private:
+  sim::Scheduler sched_;
+  mac::Medium medium_;
+  net::Backhaul backhaul_;
+  net::PacketPool pool_;
+  std::vector<std::unique_ptr<WgttAp>> aps_;
+  std::unique_ptr<mac::WifiMac> client_mac_;
+  std::vector<ApId> targets_;
+  std::uint16_t next_index_ = 0;
+  std::uint64_t controller_msgs_ = 0;
+  std::ostringstream rx_;
+  std::ostringstream notes_;
+};
+
+/// Runs `script` on a deferring rig and on an eager one; the descriptions
+/// must be equal, and the deferring rig must have run fewer events.
+void expect_deferral_exact(const std::function<void(FanoutRig&)>& script,
+                           Time until, net::Backhaul::Config bh = {},
+                           const WgttAp::Config& ap_config = {}) {
+  FanoutRig eager(false, bh, ap_config);
+  script(eager);
+  const std::string eager_text = eager.run_and_describe(until);
+  FanoutRig deferred(true, bh, ap_config);
+  script(deferred);
+  const std::string deferred_text = deferred.run_and_describe(until);
+  EXPECT_EQ(deferred_text, eager_text);
+  EXPECT_LT(deferred.events(), eager.events()) << "nothing was deferred";
+}
+
+TEST(DeferredDeliveryTest, ApStartsServingWithCopiesInFlight) {
+  // No jitter and a fixed start-processing delay, so each start lands at a
+  // known instant: 10 us after copy k was sent, while it is still on the
+  // wire, with k as the start index. Nothing from k on is queued yet, so
+  // the pump must run at copy k's arrival — a promoted delivery event —
+  // for the client to receive packet k when it would have.
+  net::Backhaul::Config bh;
+  bh.jitter_max = Time::zero();
+  WgttAp::Config ap;
+  ap.start_processing_std = Time::zero();
+  expect_deferral_exact(
+      [&bh, &ap](FanoutRig& rig) {
+        const Time period = Time::us(50);
+        rig.stream(Time::ms(1), period, 2000);
+        const Time to_ap =
+            bh.switch_overhead + Time::micros(64 * 8.0 / bh.line_rate_mbps);
+        const std::uint16_t starts[] = {300, 900, 1500};
+        for (int i = 0; i < 3; ++i) {
+          const std::uint16_t k = starts[i];
+          const Time applied = Time::ms(1) + period * k + Time::us(10);
+          rig.at(applied - ap.start_processing_mean - to_ap,
+                 [&rig, i, k] { rig.start(i, k, 1); });
+        }
+      },
+      Time::ms(110), bh, ap);
+
+  // The queue-management ablation resumes after the newest queued index,
+  // which must count every copy that arrived before the start applies.
+  WgttAp::Config newest;
+  newest.start_from_newest = true;
+  expect_deferral_exact(
+      [](FanoutRig& rig) {
+        rig.stream(Time::ms(1), Time::us(20), 2000);
+        rig.at(Time::ms(3), [&rig] { rig.start(1, 0, 1); });
+        rig.at(Time::ms(4), [&rig] { rig.start(2, 0, 1); });
+      },
+      Time::ms(50), {}, newest);
+}
+
+TEST(DeferredDeliveryTest, LinkDownAndUpBetweenSendAndArrival) {
+  expect_deferral_exact(
+      [](FanoutRig& rig) {
+        rig.stream(Time::ms(1), Time::us(20), 1500);
+        rig.at(Time::ms(2), [&rig] { rig.start(0, 0, 1); });
+        // Outages shorter than, about equal to and longer than the
+        // backhaul latency, on a non-serving and on the serving AP.
+        for (int k = 0; k < 6; ++k) {
+          const Time down = Time::ms(10 + 4 * k);
+          const Time up = down + Time::us(15 + 30 * k);
+          const int ap = k % 2 == 0 ? 2 : 0;
+          const auto node = NodeId::ap(ApId{static_cast<std::uint32_t>(ap)});
+          rig.at(down, [&rig, node] { rig.backhaul().set_node_up(node, false); });
+          rig.at(up, [&rig, node] { rig.backhaul().set_node_up(node, true); });
+        }
+      },
+      Time::ms(50));
+}
+
+TEST(DeferredDeliveryTest, ApCrashesAndRestartsWithCopiesPending) {
+  expect_deferral_exact(
+      [](FanoutRig& rig) {
+        rig.stream(Time::ms(1), Time::us(20), 1500);
+        rig.at(Time::ms(2), [&rig] { rig.start(0, 0, 1); });
+        // A bare process crash (link up: copies reach a corpse) and a
+        // crash with the link cut, as the scenario does it.
+        rig.at(Time::ms(10), [&rig] { rig.ap(2).crash(); });
+        rig.at(Time::ms(10) + Time::us(45), [&rig] { rig.ap(2).restart(); });
+        const auto node = NodeId::ap(ApId{1});
+        rig.at(Time::ms(20), [&rig, node] {
+          rig.backhaul().set_node_up(node, false);
+          rig.ap(1).crash();
+        });
+        rig.at(Time::ms(25), [&rig, node] {
+          rig.backhaul().set_node_up(node, true);
+          rig.ap(1).restart();
+        });
+        rig.at(Time::ms(30), [&rig] { rig.stop(0, 1, 2); });
+      },
+      Time::ms(50));
+}
+
+TEST(DeferredDeliveryTest, DuplicatedDelayedAndReorderedCopies) {
+  net::Backhaul::Config bh;
+  net::FaultPlan& plan = bh.fault(net::MsgKind::kDownlinkData);
+  plan.dup_rate = 0.2;
+  plan.delay_rate = 0.2;
+  plan.delay_max = Time::us(80);
+  plan.reorder_rate = 0.2;
+  plan.reorder_max = Time::us(120);
+  expect_deferral_exact(
+      [](FanoutRig& rig) {
+        rig.stream(Time::ms(1), Time::us(20), 2000);
+        rig.at(Time::ms(5), [&rig] { rig.start(2, 0, 1); });
+        rig.at(Time::ms(25), [&rig] { rig.stop(2, 0, 2); });
+        // Readers and a crash between settle points: a reordered copy must
+        // not hold back the copies that arrive before it.
+        for (int k = 0; k < 800; ++k) {
+          rig.at(Time::ms(1) + Time::us(50) * k + Time::us(7),
+                 [&rig] { rig.observe(); });
+        }
+        rig.at(Time::ms(15) + Time::us(3), [&rig] { rig.ap(1).crash(); });
+        rig.at(Time::ms(17) + Time::us(3), [&rig] { rig.ap(1).restart(); });
+      },
+      Time::ms(60), bh);
+}
+
+TEST(DeferredDeliveryTest, MetricsAttachedMidRun) {
+  obs::MetricsRegistry eager_registry;
+  obs::MetricsRegistry deferred_registry;
+  const auto script = [](obs::MetricsRegistry& registry) {
+    return [&registry](FanoutRig& rig) {
+      rig.stream(Time::ms(1), Time::us(20), 1500);
+      rig.at(Time::ms(2), [&rig] { rig.start(1, 0, 1); });
+      // Just before pump ticks, so copies are waiting in the inboxes.
+      rig.at(Time::ms(10) + Time::us(900), [&rig, &registry] {
+        for (int i = 0; i < FanoutRig::kAps; ++i) rig.ap(i).set_metrics(&registry);
+      });
+      rig.at(Time::ms(20) + Time::us(900), [&rig] {
+        for (int i = 0; i < FanoutRig::kAps; ++i) rig.ap(i).set_metrics(nullptr);
+      });
+    };
+  };
+  {
+    FanoutRig eager(false, {});
+    script(eager_registry)(eager);
+    const std::string eager_text = eager.run_and_describe(Time::ms(40));
+    FanoutRig deferred(true, {});
+    script(deferred_registry)(deferred);
+    EXPECT_EQ(deferred.run_and_describe(Time::ms(40)), eager_text);
+  }
+  const obs::Histogram* h = deferred_registry.find_histogram("ap.cyclic_occupancy");
+  ASSERT_NE(h, nullptr);
+  EXPECT_GT(h->count(), 0u);
+  EXPECT_EQ(deferred_registry.to_json(), eager_registry.to_json());
+}
+
+TEST(DeferredDeliveryTest, EqualTimeTiesAgainstRealEvents) {
+  // No jitter: a copy sent at t arrives at exactly t + overhead +
+  // serialization. Real events at that instant, scheduled before the send
+  // (ordered before the copy) and after it (ordered after), crash, restart
+  // and read the APs; each must see exactly what the copy's delivery event
+  // order gives.
+  net::Backhaul::Config bh;
+  bh.jitter_max = Time::zero();
+  expect_deferral_exact(
+      [&bh](FanoutRig& rig) {
+        const double bytes = static_cast<double>(
+            data_packet(FanoutRig::kClient, Time::zero()).tunnel_bytes());
+        const Time latency =
+            bh.switch_overhead + Time::micros(bytes * 8.0 / bh.line_rate_mbps);
+        for (int k = 0; k < 40; ++k) {
+          const Time send = Time::ms(1) + Time::us(200) * k;
+          const Time arrival = send + latency;
+          rig.at(arrival, [&rig, k] {  // before the copy
+            rig.observe();
+            if (k % 4 == 1) rig.ap(2).crash();
+          });
+          rig.at(send, [&rig, arrival, k] {
+            rig.fan_out();
+            rig.at(arrival, [&rig, k] {  // after the copy
+              rig.observe();
+              if (k % 4 == 1) rig.ap(2).restart();
+            });
+          });
+        }
+      },
+      Time::ms(20), bh);
 }
 
 }  // namespace

@@ -426,6 +426,28 @@ TEST(BoundFirstDecode, DecidesMostSampledReceptionsWithoutAnEsnr) {
               static_cast<unsigned long long>(sampled));
 }
 
+TEST(DeferredFanout, FewEventsPerDeliveredPacketOnThe8x32Drive) {
+  // Fan-out copies for APs that do not serve the client are inbox entries,
+  // not scheduler events (DESIGN.md §10). The digests cannot see a return
+  // to one event per copy; this ratio can. On perfbench's drive-8x32
+  // recipe (without its accuracy probe), seed 1, it is 90.2, against 166.0
+  // with an event per copy.
+  DriveConfig cfg = drive(1);
+  cfg.mph = 15.0;
+  cfg.num_clients = 8;  // a convoy 10 m apart past all 32 APs
+  cfg.udp_rate_mbps = 20.0;
+  scenario::GeometryConfig geo;
+  geo.num_aps = 32;
+  cfg.geometry = geo;
+  const DriveResult r = benchx::run_drive(cfg);
+  ASSERT_GT(r.mpdus_delivered, 0u);
+  const double per_packet = static_cast<double>(r.events_executed) /
+                            static_cast<double>(r.mpdus_delivered);
+  EXPECT_LE(per_packet, 120.0) << r.events_executed << " events for "
+                               << r.mpdus_delivered << " delivered packets";
+  std::printf("%.1f scheduled events per delivered packet\n", per_packet);
+}
+
 }  // namespace
 }  // namespace wgtt
 

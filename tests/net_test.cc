@@ -810,5 +810,109 @@ TEST(PacketPoolDeathTest, DoubleReleaseAborts) {
   EXPECT_DEATH(pool.add_ref(h), "dead handle");
 }
 
+// fan_out() must be one send() per target in disguise: the same arrivals,
+// drops, fault draws and counters. Both backhauls below start from the same
+// seed; one fans out, the other sends a pooled DownlinkData per target.
+struct Delivery {
+  std::uint32_t ap;
+  std::uint16_t index;
+  std::int64_t at_ns;
+  friend bool operator==(const Delivery&, const Delivery&) = default;
+};
+
+struct FanoutRun {
+  std::vector<Delivery> deliveries;
+  std::vector<std::uint64_t> counters;
+  std::size_t refs_left = 0;
+};
+
+FanoutRun run_fanout(bool use_fan_out, const Backhaul::Config& cfg) {
+  constexpr std::uint32_t kAps = 6;
+  sim::Scheduler sched;
+  PacketPool pool;
+  Backhaul bh(sched, cfg, Rng{4242});
+  bh.set_payload_pool(&pool);
+  FanoutRun run;
+  bh.attach(NodeId::controller(), [](NodeId, BackhaulMessage) {});
+  std::vector<ApId> targets;
+  for (std::uint32_t a = 0; a < kAps; ++a) {
+    targets.push_back(ApId{a});
+    bh.attach(NodeId::ap(ApId{a}), [&, a](NodeId, BackhaulMessage msg) {
+      if (const auto* d = std::get_if<DownlinkData>(&msg)) {
+        run.deliveries.push_back({a, d->index, sched.now().count_ns()});
+        pool.drop(d->handle);
+      }
+    });
+  }
+  for (std::uint16_t i = 0; i < 400; ++i) {
+    sched.schedule_at(Time::us(15) * i, [&, i] {
+      Packet p = make_packet();
+      p.payload_bytes = 200 + 7 * (i % 150);
+      FanoutCopy copy;
+      copy.index = i;
+      copy.tunnel_bytes = static_cast<std::uint32_t>(p.tunnel_bytes());
+      copy.handle = pool.acquire(std::move(p));
+      if (use_fan_out) {
+        bh.fan_out(NodeId::controller(), targets, copy);
+      } else {
+        for (const ApId ap : targets) {
+          pool.add_ref(copy.handle);
+          DownlinkData msg;
+          msg.index = copy.index;
+          msg.handle = copy.handle;
+          msg.tunnel_bytes = copy.tunnel_bytes;
+          bh.send(NodeId::controller(), NodeId::ap(ap), std::move(msg));
+        }
+      }
+      pool.drop(copy.handle);
+    });
+  }
+  // Interleaved control traffic shares the controller -> AP flows' FIFO.
+  for (int k = 0; k < 40; ++k) {
+    sched.schedule_at(Time::us(150) * k + Time::us(3), [&bh, k] {
+      bh.send(NodeId::controller(),
+              NodeId::ap(ApId{static_cast<std::uint32_t>(k % kAps)}),
+              Heartbeat{static_cast<std::uint32_t>(k)});
+    });
+  }
+  sched.schedule_at(Time::ms(2), [&bh] { bh.set_node_up(NodeId::ap(ApId{3}), false); });
+  sched.schedule_at(Time::ms(3), [&bh] { bh.set_node_up(NodeId::ap(ApId{3}), true); });
+  sched.run_all();
+  run.counters = {bh.messages_sent(),     bh.messages_dropped(),
+                  bh.messages_duplicated(), bh.messages_delayed(),
+                  bh.fault_dropped(),     bh.link_dropped(),
+                  bh.messages_reordered(),  bh.queue_drops(),
+                  bh.messages_batched()};
+  run.refs_left = pool.total_refs();
+  return run;
+}
+
+TEST(BackhaulFanOutTest, MatchesOneSendPerTarget) {
+  Backhaul::Config faulty;
+  faulty.loss_rate = 0.02;
+  FaultPlan& plan = faulty.fault(MsgKind::kDownlinkData);
+  plan.loss_rate = 0.05;
+  plan.drop_first = 7;
+  plan.dup_rate = 0.1;
+  plan.delay_rate = 0.1;
+  plan.delay_max = Time::us(90);
+  plan.reorder_rate = 0.05;
+  plan.reorder_max = Time::us(200);
+  Backhaul::Config queued;
+  queued.link_rate_mbps = 200.0;
+  queued.link_queue_bytes = 6000;
+  Backhaul::Config batched;
+  batched.batching = true;
+  for (const Backhaul::Config& cfg : {Backhaul::Config{}, faulty, queued, batched}) {
+    const FanoutRun sends = run_fanout(false, cfg);
+    const FanoutRun fanned = run_fanout(true, cfg);
+    ASSERT_GT(sends.deliveries.size(), 1000u);
+    EXPECT_EQ(fanned.deliveries, sends.deliveries);
+    EXPECT_EQ(fanned.counters, sends.counters);
+    EXPECT_EQ(fanned.refs_left, 0u);
+    EXPECT_EQ(sends.refs_left, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace wgtt::net
